@@ -15,7 +15,7 @@
 // — each hosting -ranks/len(processes) of them (override with -local-ranks)
 // — and the gradient all-reduce travels a hierarchical communicator:
 // channel rings between the ranks inside a process, bridged over a TCP
-// ring between processes, bit-identical to the flat ring of the same size.
+// ring between processes, bit-identical to one process hosting all ranks.
 //
 //	melissa-server -ranks 4 -proc 0 -ranks-transport 127.0.0.1:7700,127.0.0.1:7701 \
 //	    -clients 4 -addr-file addrs-p0.txt -out weights.bin &
@@ -212,9 +212,7 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("connecting rank group: %w", err))
 		}
-		if closer, ok := g.Comm.(interface{ Close() error }); ok {
-			defer closer.Close()
-		}
+		defer g.Close()
 		group, isProc0 = g, *proc == 0
 	default:
 		if *transports != "" {

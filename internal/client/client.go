@@ -440,11 +440,11 @@ type HeatJob struct {
 func RunHeat(ctx context.Context, job HeatJob) error {
 	cfg := job.Solver.WithDefaults()
 	return Run(ctx, Job{
-		Client: job.Client,
-		NewSim: func() (solver.Simulator, error) { return solver.New(job.Solver, job.Params) },
-		Params: job.Params.Vector(),
-		Steps:  cfg.Steps,
-		Dt:     cfg.Dt,
+		Client:     job.Client,
+		NewSim:     func() (solver.Simulator, error) { return solver.New(job.Solver, job.Params) },
+		Params:     job.Params.Vector(),
+		Steps:      cfg.Steps,
+		Dt:         cfg.Dt,
 		Checkpoint: job.Checkpoint,
 		StepDelay:  job.StepDelay,
 		FailAtStep: job.FailAtStep,

@@ -3,8 +3,8 @@ package core
 // Training-trajectory tests for compressed gradient collectives
 // (TrainerConfig.GradCompress): f16 runs must stay within tolerance of the
 // exact fp32 trajectory across process × local-rank shapes, repeat runs
-// must be bit-identical (the codec is deterministic), overlapped and
-// serial bucket sync must agree bit-for-bit under compression, and the
+// must be bit-identical (the codec is deterministic), overlapped sync must
+// agree bit-for-bit with the serial reference under compression, and the
 // config validation must reject groups whose ring disagrees with the
 // declared codec.
 
@@ -22,10 +22,11 @@ import (
 )
 
 // codecTrainerGroup builds one trainer per process over a loopback ring
-// with the given wire codec: procs processes hosting local ranks each
-// (ddp.GroupFromRing picks TCPComm for local=1, HierComm otherwise). bufs
-// holds procs·local buffers, assigned in global rank order.
-func codecTrainerGroup(t *testing.T, procs, local int, codec transport.Codec, mode GradSyncMode,
+// with the given wire codec: procs processes hosting local ranks each —
+// the in-process replica of the multi-process melissa-server deployment.
+// serial selects the serial bucket sync reference. bufs holds procs·local
+// buffers, assigned in global rank order.
+func codecTrainerGroup(t *testing.T, procs, local int, codec transport.Codec, serial bool,
 	bufs []*buffer.Blocking, spec ModelSpec, norm Normalizer) []*Trainer {
 	t.Helper()
 	listeners := make([]*transport.RingListener, procs)
@@ -62,9 +63,7 @@ func codecTrainerGroup(t *testing.T, procs, local int, codec transport.Codec, mo
 	}
 	t.Cleanup(func() {
 		for _, g := range groups {
-			if closer, ok := g.Comm.(interface{ Close() error }); ok {
-				closer.Close()
-			}
+			g.Close()
 		}
 	})
 	trainers := make([]*Trainer, procs)
@@ -73,7 +72,6 @@ func codecTrainerGroup(t *testing.T, procs, local int, codec transport.Codec, mo
 			Ranks:        local,
 			Group:        groups[p],
 			BatchSize:    5,
-			GradSync:     mode,
 			GradCompress: codec,
 			Model:        spec,
 			Normalizer:   norm,
@@ -81,6 +79,7 @@ func codecTrainerGroup(t *testing.T, procs, local int, codec transport.Codec, mo
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr.serialSync = serial
 		trainers[p] = tr
 	}
 	return trainers
@@ -109,15 +108,15 @@ func runTrainerGroup(t *testing.T, trainers []*Trainer) ([]LossPoint, []float32)
 	return trainers[0].Metrics().TrainLoss(), weights
 }
 
-// runCodecShape trains the given shape/codec/mode over the same model and
+// runCodecShape trains the given shape/codec over the same model and
 // stream as runSyncMode — so its output is directly comparable to the
-// in-process channel reference — and returns trajectory + final weights.
-func runCodecShape(t *testing.T, procs, local int, codec transport.Codec, mode GradSyncMode) ([]LossPoint, []float32) {
+// ring-less in-process reference — and returns trajectory + final weights.
+func runCodecShape(t *testing.T, procs, local int, codec transport.Codec, serial bool) ([]LossPoint, []float32) {
 	t.Helper()
 	norm := NewHeatNormalizer(48, 1)
 	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{24, 24}, OutputDim: norm.OutputDim(), Seed: 13}
 	bufs := fifoRankBufs(t, norm, procs*local, 87)
-	trainers := codecTrainerGroup(t, procs, local, codec, mode, bufs, spec, norm)
+	trainers := codecTrainerGroup(t, procs, local, codec, serial, bufs, spec, norm)
 	return runTrainerGroup(t, trainers)
 }
 
@@ -131,11 +130,11 @@ func weightDelta(a, b []float32) float64 {
 	return math.Sqrt(sum / float64(len(a)))
 }
 
-// TestTrainCompressedMatrix runs f16 training across flat-TCP and
-// hierarchical shapes against the exact in-process fp32 reference: the
+// TestTrainCompressedMatrix runs f16 training across one-rank-per-process
+// and hierarchical shapes against the exact ring-less fp32 reference: the
 // compressed trajectory must track the exact one within a quantization
 // tolerance at every step, and the fp32 transport run must match the
-// channel reference bit-for-bit (compression off is exactly off).
+// ring-less reference bit-for-bit (compression off is exactly off).
 func TestTrainCompressedMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-shape training matrix")
@@ -143,9 +142,9 @@ func TestTrainCompressedMatrix(t *testing.T) {
 	type shape struct{ procs, local int }
 	for _, sh := range []shape{{2, 1}, {4, 1}, {2, 2}} {
 		t.Run(fmt.Sprintf("procs=%d/local=%d", sh.procs, sh.local), func(t *testing.T) {
-			refLoss, refW := runSyncMode(t, SyncOverlap, sh.procs*sh.local)
+			refLoss, refW := runSyncMode(t, false, sh.procs*sh.local)
 
-			f32Loss, f32W := runCodecShape(t, sh.procs, sh.local, transport.CodecF32, SyncOverlap)
+			f32Loss, f32W := runCodecShape(t, sh.procs, sh.local, transport.CodecF32, false)
 			if len(f32Loss) != len(refLoss) {
 				t.Fatalf("fp32 trajectory length %d, reference %d", len(f32Loss), len(refLoss))
 			}
@@ -160,7 +159,7 @@ func TestTrainCompressedMatrix(t *testing.T) {
 				}
 			}
 
-			f16Loss, f16W := runCodecShape(t, sh.procs, sh.local, transport.CodecF16, SyncOverlap)
+			f16Loss, f16W := runCodecShape(t, sh.procs, sh.local, transport.CodecF16, false)
 			if len(f16Loss) != len(refLoss) {
 				t.Fatalf("f16 trajectory length %d, reference %d", len(f16Loss), len(refLoss))
 			}
@@ -184,8 +183,8 @@ func TestTrainCompressedMatrix(t *testing.T) {
 // trajectories and weights — the codec is deterministic, so compression
 // never costs repeatability.
 func TestTrainCompressedDeterminism(t *testing.T) {
-	loss1, w1 := runCodecShape(t, 2, 2, transport.CodecF16, SyncOverlap)
-	loss2, w2 := runCodecShape(t, 2, 2, transport.CodecF16, SyncOverlap)
+	loss1, w1 := runCodecShape(t, 2, 2, transport.CodecF16, false)
+	loss2, w2 := runCodecShape(t, 2, 2, transport.CodecF16, false)
 	if len(loss1) == 0 || len(loss1) != len(loss2) {
 		t.Fatalf("trajectory lengths %d vs %d", len(loss1), len(loss2))
 	}
@@ -206,8 +205,8 @@ func TestTrainCompressedDeterminism(t *testing.T) {
 // the same order on the same error-feedback residuals whether launched
 // during backward or after it, so the trajectories must agree bit-for-bit.
 func TestTrainCompressedOverlapMatchesSerial(t *testing.T) {
-	overlapLoss, overlapW := runCodecShape(t, 2, 1, transport.CodecF16, SyncOverlap)
-	serialLoss, serialW := runCodecShape(t, 2, 1, transport.CodecF16, SyncSerial)
+	overlapLoss, overlapW := runCodecShape(t, 2, 1, transport.CodecF16, false)
+	serialLoss, serialW := runCodecShape(t, 2, 1, transport.CodecF16, true)
 	if len(overlapLoss) == 0 || len(overlapLoss) != len(serialLoss) {
 		t.Fatalf("trajectory lengths %d vs %d", len(overlapLoss), len(serialLoss))
 	}
@@ -234,9 +233,9 @@ func TestTrainCompressedErrorFeedback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full training runs")
 	}
-	_, refW := runSyncMode(t, SyncOverlap, 2)
-	_, efW := runCodecShape(t, 2, 1, transport.CodecF16, SyncOverlap)
-	_, rawW := runCodecShape(t, 2, 1, transport.CodecF16Raw, SyncOverlap)
+	_, refW := runSyncMode(t, false, 2)
+	_, efW := runCodecShape(t, 2, 1, transport.CodecF16, false)
+	_, rawW := runCodecShape(t, 2, 1, transport.CodecF16Raw, false)
 
 	efErr := weightDelta(efW, refW)
 	rawErr := weightDelta(rawW, refW)
@@ -250,8 +249,8 @@ func TestTrainCompressedErrorFeedback(t *testing.T) {
 }
 
 // TestGradCompressValidation pins the fail-fast contract: a compressed
-// declaration without a transport-backed group, or any declaration that
-// disagrees with the ring's negotiated codec, must fail at construction.
+// declaration on a ring-less group, or any declaration that disagrees with
+// the ring's negotiated codec, must fail at construction.
 func TestGradCompressValidation(t *testing.T) {
 	norm := NewHeatNormalizer(32, 1)
 	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{16}, OutputDim: norm.OutputDim(), Seed: 23}
@@ -264,14 +263,14 @@ func TestGradCompressValidation(t *testing.T) {
 		return err
 	}
 
-	// Channel group: compression is meaningless, must be rejected.
+	// Ring-less group: compression is meaningless, must be rejected.
 	if err := mk(TrainerConfig{Ranks: 2, GradCompress: transport.CodecF16}); err == nil {
 		t.Fatal("f16 over an in-process channel group was accepted")
 	}
 
 	// Transport group whose ring negotiated a different codec.
 	bufs := fifoRankBufs(t, norm, 2, 10)
-	trainers := codecTrainerGroup(t, 2, 1, transport.CodecF16, SyncOverlap, bufs, spec, norm)
+	trainers := codecTrainerGroup(t, 2, 1, transport.CodecF16, false, bufs, spec, norm)
 	comm := trainers[0].comm
 	_, err := NewTrainer(TrainerConfig{
 		Ranks: 1, BatchSize: 5, Model: spec, Normalizer: norm,

@@ -1,19 +1,17 @@
 package core
 
 // Equivalence tests and benchmarks for the bucketed-overlap gradient sync:
-// overlap must be bit-identical to the serial bucketed path across ranks
-// and tail batches, a transport-backed multi-process rank group must train
-// the exact same trajectory as the in-process channel group, and the
-// overlapped step must stay allocation-free.
+// overlap must be bit-identical to the serial bucketed reference across
+// ranks and tail batches, a transport-backed multi-process rank group must
+// train the exact same trajectory as the ring-less in-process group, and
+// the overlapped step must stay allocation-free.
 
 import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"melissa/internal/buffer"
-	"melissa/internal/ddp"
 	"melissa/internal/transport"
 )
 
@@ -39,9 +37,9 @@ func fifoRankBufs(t testing.TB, norm HeatNormalizer, ranks, nSamples int) []*buf
 }
 
 // runSyncMode trains a fresh multi-rank trainer over a deterministic
-// stream with the given sync mode and returns the loss trajectory and the
-// final rank-0 weights.
-func runSyncMode(t *testing.T, mode GradSyncMode, ranks int) ([]LossPoint, []float32) {
+// stream — overlapped, or with the serial bucket sync reference — and
+// returns the loss trajectory and the final rank-0 weights.
+func runSyncMode(t *testing.T, serial bool, ranks int) ([]LossPoint, []float32) {
 	t.Helper()
 	norm := NewHeatNormalizer(48, 1)
 	// 87 samples over 4 ranks at batch 5: every rank ends on a short tail.
@@ -49,7 +47,6 @@ func runSyncMode(t *testing.T, mode GradSyncMode, ranks int) ([]LossPoint, []flo
 	tr, err := NewTrainer(TrainerConfig{
 		Ranks:     ranks,
 		BatchSize: 5,
-		GradSync:  mode,
 		Model: ModelSpec{
 			InputDim:  norm.InputDim(),
 			Hidden:    []int{24, 24},
@@ -61,6 +58,7 @@ func runSyncMode(t *testing.T, mode GradSyncMode, ranks int) ([]LossPoint, []flo
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.serialSync = serial
 	if err := tr.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +72,8 @@ func runSyncMode(t *testing.T, mode GradSyncMode, ranks int) ([]LossPoint, []flo
 // collectives serially after the full backward pass — across 4 ranks,
 // including tail batches.
 func TestOverlapMatchesSerial(t *testing.T) {
-	overlapLoss, overlapW := runSyncMode(t, SyncOverlap, 4)
-	serialLoss, serialW := runSyncMode(t, SyncSerial, 4)
+	overlapLoss, overlapW := runSyncMode(t, false, 4)
+	serialLoss, serialW := runSyncMode(t, true, 4)
 	if len(overlapLoss) == 0 || len(overlapLoss) != len(serialLoss) {
 		t.Fatalf("trajectory lengths %d vs %d", len(overlapLoss), len(serialLoss))
 	}
@@ -91,87 +89,6 @@ func TestOverlapMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestOverlapCloseToFlat sanity-checks that the bucketed modes stay within
-// float tolerance of the legacy full-slab all-reduce: the math is the
-// same, only the per-chunk reduction order moves with the bucket
-// boundaries.
-func TestOverlapCloseToFlat(t *testing.T) {
-	overlapLoss, _ := runSyncMode(t, SyncOverlap, 4)
-	flatLoss, _ := runSyncMode(t, SyncFlat, 4)
-	if len(overlapLoss) != len(flatLoss) {
-		t.Fatalf("trajectory lengths %d vs %d", len(overlapLoss), len(flatLoss))
-	}
-	for i := range overlapLoss {
-		d := overlapLoss[i].Value - flatLoss[i].Value
-		if d < 0 {
-			d = -d
-		}
-		tol := 1e-5 * (1 + flatLoss[i].Value)
-		if d > tol {
-			t.Fatalf("step %d: overlap %v vs flat %v (diff %v)", i, overlapLoss[i].Value, flatLoss[i].Value, d)
-		}
-	}
-}
-
-// tcpTrainerGroup builds one single-local-rank trainer per global rank,
-// all joined by loopback TCP communicators — the in-process replica of the
-// multi-process melissa-server deployment.
-func tcpTrainerGroup(t *testing.T, ranks int, bufs []*buffer.Blocking, spec ModelSpec, norm Normalizer) []*Trainer {
-	t.Helper()
-	listeners := make([]*transport.RingListener, ranks)
-	addrs := make([]string, ranks)
-	for r := range listeners {
-		l, err := transport.ListenRing("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[r] = l
-		addrs[r] = l.Addr()
-	}
-	comms := make([]*ddp.TCPComm, ranks)
-	var wg sync.WaitGroup
-	errs := make([]error, ranks)
-	for r := range comms {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ring, err := listeners[rank].Connect(rank, addrs, 10*time.Second)
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			comms[rank] = ddp.NewTCPComm(ring)
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, c := range comms {
-			c.Close()
-		}
-	})
-
-	trainers := make([]*Trainer, ranks)
-	for r := range trainers {
-		tr, err := NewTrainer(TrainerConfig{
-			Ranks:      1,
-			Group:      ddp.RankGroup{Comm: comms[r], Offset: r},
-			BatchSize:  5,
-			Model:      spec,
-			Normalizer: norm,
-		}, bufs[r:r+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		trainers[r] = tr
-	}
-	return trainers
-}
-
 // TestTCPRanksMatchInProcessRanks is the transport-equivalence test: two
 // single-rank trainers synchronized over real TCP sockets must train the
 // exact same loss trajectory and weights as one two-rank in-process
@@ -182,7 +99,7 @@ func TestTCPRanksMatchInProcessRanks(t *testing.T) {
 	norm := NewHeatNormalizer(32, 1)
 	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{16}, OutputDim: norm.OutputDim(), Seed: 23}
 
-	// Reference: both ranks in one trainer over the channel backend.
+	// Reference: both ranks in one trainer over a ring-less group.
 	refBufs := fifoRankBufs(t, norm, ranks, nSamples)
 	ref, err := NewTrainer(TrainerConfig{
 		Ranks: ranks, BatchSize: 5, Model: spec, Normalizer: norm,
@@ -196,25 +113,10 @@ func TestTCPRanksMatchInProcessRanks(t *testing.T) {
 
 	// TCP group: one trainer per rank, identical streams, run in lockstep.
 	tcpBufs := fifoRankBufs(t, norm, ranks, nSamples)
-	trainers := tcpTrainerGroup(t, ranks, tcpBufs, spec, norm)
-	var wg sync.WaitGroup
-	errs := make([]error, ranks)
-	for r, tr := range trainers {
-		wg.Add(1)
-		go func(rank int, tr *Trainer) {
-			defer wg.Done()
-			errs[rank] = tr.Run(context.Background())
-		}(r, tr)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("tcp rank %d: %v", r, err)
-		}
-	}
+	trainers := codecTrainerGroup(t, ranks, 1, transport.CodecF32, false, tcpBufs, spec, norm)
+	tcpLoss, _ := runTrainerGroup(t, trainers) // global rank 0 owns metrics
 
 	refLoss := ref.Metrics().TrainLoss()
-	tcpLoss := trainers[0].Metrics().TrainLoss() // global rank 0 owns metrics
 	if len(refLoss) == 0 || len(refLoss) != len(tcpLoss) {
 		t.Fatalf("trajectory lengths: in-process %d vs tcp %d", len(refLoss), len(tcpLoss))
 	}
@@ -236,7 +138,7 @@ func TestTCPRanksMatchInProcessRanks(t *testing.T) {
 
 // multiRankHotTrainer wires a ranks-wide trainer to preloaded Reservoirs
 // that never drain, for lockstep step-level benchmarks and alloc gates.
-func multiRankHotTrainer(tb testing.TB, ranks int, mode GradSyncMode, fieldDim int, hidden []int, batch int) (*Trainer, []*rankState) {
+func multiRankHotTrainer(tb testing.TB, ranks int, serial bool, fieldDim int, hidden []int, batch int) (*Trainer, []*rankState) {
 	tb.Helper()
 	norm := NewHeatNormalizer(fieldDim, 1)
 	bufs := make([]*buffer.Blocking, ranks)
@@ -252,7 +154,6 @@ func multiRankHotTrainer(tb testing.TB, ranks int, mode GradSyncMode, fieldDim i
 	tr, err := NewTrainer(TrainerConfig{
 		Ranks:     ranks,
 		BatchSize: batch,
-		GradSync:  mode,
 		Model: ModelSpec{
 			InputDim:  norm.InputDim(),
 			Hidden:    hidden,
@@ -264,6 +165,7 @@ func multiRankHotTrainer(tb testing.TB, ranks int, mode GradSyncMode, fieldDim i
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tr.serialSync = serial
 	sts := make([]*rankState, ranks)
 	for r := range sts {
 		sts[r] = tr.newRankState(r)
@@ -279,7 +181,7 @@ func multiRankHotTrainer(tb testing.TB, ranks int, mode GradSyncMode, fieldDim i
 func TestTrainStepZeroAllocOverlap4Ranks(t *testing.T) {
 	const ranks = 4
 	const runs = 100
-	tr, sts := multiRankHotTrainer(t, ranks, SyncOverlap, 64, []int{32, 32}, 8)
+	tr, sts := multiRankHotTrainer(t, ranks, false, 64, []int{32, 32}, 8)
 	var wg sync.WaitGroup
 	for r := 1; r < ranks; r++ {
 		wg.Add(1)
@@ -312,9 +214,9 @@ func TestTrainStepZeroAllocOverlap4Ranks(t *testing.T) {
 // benchMultiRankTrainStep measures one synchronized multi-rank step at the
 // paper's surrogate shape, with peer ranks in lockstep goroutines so the
 // timed loop sees the full collective cost.
-func benchMultiRankTrainStep(b *testing.B, mode GradSyncMode) {
+func benchMultiRankTrainStep(b *testing.B, serial bool) {
 	const ranks = 4
-	tr, sts := multiRankHotTrainer(b, ranks, mode, 1024, []int{256, 256}, 10)
+	tr, sts := multiRankHotTrainer(b, ranks, serial, 1024, []int{256, 256}, 10)
 	var wg sync.WaitGroup
 	for r := 1; r < ranks; r++ {
 		wg.Add(1)
@@ -339,18 +241,13 @@ func benchMultiRankTrainStep(b *testing.B, mode GradSyncMode) {
 }
 
 // BenchmarkTrainStepOverlap4Ranks: bucket all-reduces launched during
-// backward (the default mode).
+// backward (the trainer's sync path).
 func BenchmarkTrainStepOverlap4Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, SyncOverlap)
+	benchMultiRankTrainStep(b, false)
 }
 
 // BenchmarkTrainStepSerial4Ranks: the same bucket collectives issued after
 // the full backward pass — the overlap win is the gap to this baseline.
 func BenchmarkTrainStepSerial4Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, SyncSerial)
-}
-
-// BenchmarkTrainStepFlat4Ranks: the legacy single full-slab all-reduce.
-func BenchmarkTrainStepFlat4Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, SyncFlat)
+	benchMultiRankTrainStep(b, true)
 }

@@ -15,29 +15,6 @@ import (
 	"melissa/internal/transport"
 )
 
-// GradSyncMode selects how per-batch gradients are synchronized across
-// ranks.
-type GradSyncMode int
-
-const (
-	// SyncOverlap (the default) buckets the gradient slab by layer
-	// boundaries and launches each bucket's all-reduce as soon as backward
-	// finalizes that layer's gradients, overlapping communication with the
-	// remaining backpropagation. Bit-identical to SyncSerial. With fused
-	// Dense+activation layers every bucket is one weight+bias pair, so the
-	// overlap granularity is unchanged from the unfused structure.
-	SyncOverlap GradSyncMode = iota
-	// SyncSerial runs the same per-bucket collectives, but only after the
-	// full backward pass — the paper's §3.1 ordering. It exists as the
-	// reference for the overlap equivalence tests and benchmarks.
-	SyncSerial
-	// SyncFlat is the legacy single full-slab all-reduce. Its float
-	// reduction order differs from the bucketed modes (ring chunk
-	// boundaries fall elsewhere), so trajectories match only within float
-	// tolerance.
-	SyncFlat
-)
-
 // TrainerConfig configures the data-parallel online training loop.
 type TrainerConfig struct {
 	Ranks     int // learner replicas ("GPUs") in this process; one training buffer each
@@ -45,8 +22,8 @@ type TrainerConfig struct {
 
 	// Group places this process's ranks in the data-parallel group: its
 	// communicator carries the gradient collectives and its offset maps
-	// local rank 0 into the global rank space. The zero value builds an
-	// in-process channel ring over Ranks. Supplying a transport-backed
+	// local rank 0 into the global rank space. The zero value builds a
+	// ring-less in-process group over Ranks. Supplying a transport-backed
 	// group (ddp.GroupFromRing, ddp.ConnectGroup) lets several processes
 	// train as one group: Ranks then counts only this process's local
 	// replicas. Metrics, validation and checkpoints belong to global
@@ -59,10 +36,6 @@ type TrainerConfig struct {
 	// group re-formations.
 	Metrics *Metrics
 
-	// GradSync selects overlapped-bucketed (default), serial-bucketed, or
-	// legacy full-slab gradient synchronization.
-	GradSync GradSyncMode
-
 	// GradCompress declares the wire codec the gradient collectives are
 	// expected to ride (transport.CodecF16 halves inter-node all-reduce
 	// bytes; see docs/communication.md). The codec itself is a property of
@@ -70,8 +43,8 @@ type TrainerConfig struct {
 	// trainer-side declaration, validated against the group's actual wire
 	// format so a process whose ring and training config disagree fails at
 	// construction instead of training a surprising trajectory. Leave zero
-	// (CodecF32) for exact full-width collectives and for in-process
-	// channel groups.
+	// (CodecF32) for exact full-width collectives and for ring-less
+	// in-process groups.
 	GradCompress transport.Codec
 
 	Model      ModelSpec
@@ -125,16 +98,21 @@ func (c TrainerConfig) validate() error {
 
 // Trainer runs the paper's training threads: each rank extracts batches
 // from its own buffer, computes gradients on its replica, all-reduces them
-// with the other ranks, and applies identical Adam updates (§3.1). With
-// the default overlapped mode, each layer's gradient bucket is all-reduced
-// concurrently with the backpropagation of earlier layers.
+// with the other ranks, and applies identical Adam updates (§3.1). Each
+// layer's gradient bucket is all-reduced concurrently with the
+// backpropagation of earlier layers.
 type Trainer struct {
 	cfg     TrainerConfig
 	bufs    []*buffer.Blocking
 	nets    []*nn.Network
 	opts    []*opt.Adam
-	comm    ddp.Communicator
+	comm    *ddp.HierComm
 	metrics *Metrics
+
+	// serialSync runs the bucket collectives after the full backward pass
+	// (the paper's §3.1 ordering) instead of overlapping them with it. It
+	// is the reference the overlap-equivalence tests compare against.
+	serialSync bool
 
 	// buckets are the gradient-slab ranges in backward-completion order,
 	// identical across replicas; bucketOfLayer maps a layer index to its
@@ -176,13 +154,9 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 	// The declared gradient codec must match the wire format the group's
 	// ring actually negotiated: a mismatch means the process was launched
 	// with inconsistent flags, and silently training at the other precision
-	// is the one outcome nobody wants.
-	wc, _ := comm.(ddp.WireCompression)
-	switch {
-	case cfg.GradCompress.Compressed() && wc == nil:
-		return nil, fmt.Errorf("core: grad compression %v requires a transport-backed group (in-process channel groups are always exact)", cfg.GradCompress)
-	case wc != nil && wc.WireCodec() != cfg.GradCompress:
-		return nil, fmt.Errorf("core: grad compression %v does not match the group ring's negotiated codec %v", cfg.GradCompress, wc.WireCodec())
+	// is the one outcome nobody wants. A ring-less group is always exact.
+	if codec := comm.WireCodec(); codec != cfg.GradCompress {
+		return nil, fmt.Errorf("core: grad compression %v does not match the group's wire codec %v (in-process groups are always exact)", cfg.GradCompress, codec)
 	}
 	metrics := cfg.Metrics
 	if metrics == nil {
@@ -211,12 +185,8 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 		t.opts[r] = opt.NewAdam(cfg.LearningRate)
 	}
 	// The bucket layout is a property of the architecture; all replicas
-	// share it. Networks without slab fusion cannot bucket and fall back
-	// to the full-slab collective.
+	// share it.
 	t.buckets = base.GradBuckets()
-	if t.buckets == nil {
-		t.cfg.GradSync = SyncFlat
-	}
 	t.bucketOfLayer = make([]int, len(base.Layers))
 	for i := range t.bucketOfLayer {
 		t.bucketOfLayer[i] = -1
@@ -374,9 +344,9 @@ func (t *Trainer) syncLoop(st *rankState) {
 // rankLoop is the per-rank training thread. Collective calls must stay in
 // lock-step across ranks: every iteration performs exactly one status
 // all-reduce and, while any rank is active, one gradient sync (a fixed
-// sequence of bucket collectives, or one full-slab collective for
-// SyncFlat). A collective failure (dead peer, aborted ring) ends the loop
-// with that error; the weights hold the state of the last completed step.
+// sequence of bucket collectives). A collective failure (dead peer,
+// aborted ring) ends the loop with that error; the weights hold the state
+// of the last completed step.
 func (t *Trainer) rankLoop(rank int) error {
 	st := t.newRankState(rank)
 	defer st.close()
@@ -423,7 +393,6 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 
 	var trainLoss float64
 	st.net.ZeroGrad()
-	overlap := t.cfg.GradSync == SyncOverlap
 	if ok {
 		bi, bo := st.in, st.out
 		if n != t.cfg.BatchSize {
@@ -436,16 +405,16 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 		pred := st.net.Forward(bi)
 		trainLoss = st.lossFn.Forward(pred, bo)
 		dy := st.lossFn.Backward(pred, bo)
-		if overlap {
+		if t.serialSync {
+			st.net.Backward(dy)
+		} else {
 			// Each layer's bucket is handed to the syncer the moment its
 			// gradients are final, overlapping the all-reduce with the
 			// rest of the backward pass.
 			st.net.BackwardWithHook(dy, st.hook)
-		} else {
-			st.net.Backward(dy)
 		}
 		t.metrics.CountKeys(st.keys[:n])
-	} else if overlap {
+	} else if !t.serialSync {
 		// Drained ranks contribute zero gradients but must join every
 		// collective, in the same bucket order the hook produces.
 		for b := range t.buckets {
@@ -464,11 +433,9 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 		if ok {
 			t.metrics.RecordTrainLoss(globalBatch, globalSamples, trainLoss)
 		}
-		if wc, okc := t.comm.(ddp.WireCompression); okc {
-			sent, recv := wc.WireBytes()
-			t.metrics.AddWireBytes(sent-st.lastWireSent, recv-st.lastWireRecv)
-			st.lastWireSent, st.lastWireRecv = sent, recv
-		}
+		sent, recv := t.comm.WireBytes()
+		t.metrics.AddWireBytes(sent-st.lastWireSent, recv-st.lastWireRecv)
+		st.lastWireSent, st.lastWireRecv = sent, recv
 		t.sampleCounterLocal(st.rank, stepSamples) // keep the mirror in step
 	} else {
 		// Mirror the counters locally; the schedule needs the global
@@ -498,37 +465,28 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 }
 
 // syncGradients completes the step's gradient synchronization: it drains
-// the in-flight bucket collectives (overlap), or runs them now (serial),
-// or all-reduces the whole slab (flat), then averages. On return every
-// replica holds identical averaged gradients, matching the all-reduce step
-// of §3.1. The collectives operate on the slab in place — no
-// gather/scatter staging. On a collective failure the first error is
-// returned — after draining every in-flight bucket, so the syncer
-// goroutine is never left blocked — and the gradients are unusable.
+// the in-flight bucket collectives (or, for the serial reference, runs
+// them now), then averages. On return every replica holds identical
+// averaged gradients, matching the all-reduce step of §3.1. The
+// collectives operate on the slab in place — no gather/scatter staging. On
+// a collective failure the first error is returned — after draining every
+// in-flight bucket, so the syncer goroutine is never left blocked — and
+// the gradients are unusable.
 func (t *Trainer) syncGradients(st *rankState) error {
 	grads := st.net.FlatGrads()
-	var failed error
-	switch t.cfg.GradSync {
-	case SyncOverlap:
-		for st.launched > 0 {
-			if err := <-st.acks; err != nil && failed == nil {
-				failed = err
-			}
-			st.launched--
-		}
-	case SyncSerial:
+	if t.serialSync {
 		for _, bk := range t.buckets {
 			if err := t.comm.AllReduceSumRange(st.grank, grads, bk.Lo, bk.Hi); err != nil {
 				return err
 			}
 		}
-	case SyncFlat:
-		// Run the flat slab as a range collective so it shares the bucketed
-		// modes' error-feedback path on a compressed ring; the trailing
-		// Scal is the AllReduceMean division, element-wise identical.
-		if err := t.comm.AllReduceSumRange(st.grank, grads, 0, len(grads)); err != nil {
-			return err
+	}
+	var failed error
+	for st.launched > 0 {
+		if err := <-st.acks; err != nil && failed == nil {
+			failed = err
 		}
+		st.launched--
 	}
 	if failed != nil {
 		return failed

@@ -1,9 +1,12 @@
 package ddp
 
-// The backend-parametrized collective suite: every Communicator backend
-// must pass identical correctness checks, and the transport backend must
-// produce bit-identical results to the channel ring (same algorithm, same
-// chunking, same reduction order).
+// The shape matrix: every group topology — ring-less channel groups, one
+// rank per process on a loopback TCP ring, and several ranks per process
+// bridged over the ring — must pass identical correctness checks and
+// compute fp32 results bit-identical to the ring-less group of the same
+// total size (same ring algorithm, same chunking, same reduction order),
+// so packing ranks into processes differently cannot perturb a training
+// trajectory.
 
 import (
 	"fmt"
@@ -15,59 +18,52 @@ import (
 	"melissa/internal/transport"
 )
 
-// commGroup is n per-rank communicator handles: the channel backend shares
-// one object across ranks, the TCP backend builds one ring endpoint per
-// rank over loopback.
-type commGroup []Communicator
+// commGroup is one communicator handle per global rank: a ring-less group
+// shares one object across its ranks, a ring group shares one per process.
+type commGroup []*HierComm
 
-// backendFactories builds each backend's n-rank group.
-var backendFactories = map[string]func(tb testing.TB, n int) commGroup{
-	"chan": func(tb testing.TB, n int) commGroup {
-		c := NewCommunicator(n)
-		g := make(commGroup, n)
-		for r := range g {
-			g[r] = c
-		}
-		return g
-	},
-	"tcp": newTCPGroup,
+// newRinglessGroup is the n-rank in-process group.
+func newRinglessGroup(n int) commGroup {
+	c := NewCommunicator(n)
+	g := make(commGroup, n)
+	for r := range g {
+		g[r] = c
+	}
+	return g
 }
 
-// newTCPGroup wires n TCPComm ranks over loopback: every rank binds an
-// ephemeral port first, then all connect concurrently.
-func newTCPGroup(tb testing.TB, n int) commGroup {
-	return newTCPGroupCodec(tb, n, transport.CodecF32)
-}
-
-// newTCPGroupCodec is newTCPGroup with an explicit wire codec, for the
-// compressed-collective tests and benchmarks.
-func newTCPGroupCodec(tb testing.TB, n int, codec transport.Codec) commGroup {
+// newRingGroup wires procs communicators over a loopback ring, each hosting
+// local consecutive global ranks, with the given wire codec for the ring
+// (channel hops are always exact). Every rank binds an ephemeral port
+// first, then all connect concurrently. Each process's group must land at
+// offset proc·local and validate for local ranks.
+func newRingGroup(tb testing.TB, procs, local int, codec transport.Codec) commGroup {
 	tb.Helper()
-	listeners := make([]*transport.RingListener, n)
-	addrs := make([]string, n)
-	for r := range listeners {
+	listeners := make([]*transport.RingListener, procs)
+	addrs := make([]string, procs)
+	for p := range listeners {
 		l, err := transport.ListenRing("127.0.0.1:0")
 		if err != nil {
 			tb.Fatal(err)
 		}
-		listeners[r] = l
-		addrs[r] = l.Addr()
+		listeners[p] = l
+		addrs[p] = l.Addr()
 	}
-	g := make(commGroup, n)
+	groups := make([]RankGroup, procs)
+	errs := make([]error, procs)
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for r := range g {
+	for p := range groups {
 		wg.Add(1)
-		go func(rank int) {
+		go func(proc int) {
 			defer wg.Done()
-			ring, err := listeners[rank].ConnectContext(tb.Context(), rank, addrs, 10*time.Second,
-				transport.RingOptions{Codec: codec})
+			ring, err := listeners[proc].ConnectContext(tb.Context(), proc, addrs, 10*time.Second,
+				transport.RingOptions{Identity: GroupIdentity(local), Codec: codec})
 			if err != nil {
-				errs[rank] = err
+				errs[proc] = err
 				return
 			}
-			g[rank] = NewTCPComm(ring)
-		}(r)
+			groups[proc] = GroupFromRing(ring, local)
+		}(p)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -76,17 +72,27 @@ func newTCPGroupCodec(tb testing.TB, n int, codec transport.Codec) commGroup {
 		}
 	}
 	tb.Cleanup(func() {
-		for _, c := range g {
-			if tc, ok := c.(*TCPComm); ok {
-				tc.Close()
-			}
+		for _, grp := range groups {
+			grp.Close()
 		}
 	})
+	g := make(commGroup, procs*local)
+	for p, grp := range groups {
+		if grp.Offset != p*local || grp.World() != procs*local {
+			tb.Fatalf("proc %d: offset %d world %d, want %d and %d", p, grp.Offset, grp.World(), p*local, procs*local)
+		}
+		if err := grp.Validate(local); err != nil {
+			tb.Fatalf("proc %d: %v", p, err)
+		}
+		for l := 0; l < local; l++ {
+			g[p*local+l] = grp.Comm
+		}
+	}
 	return g
 }
 
 // runGroup launches one goroutine per rank and waits for completion.
-func runGroup(g commGroup, fn func(rank int, c Communicator)) {
+func runGroup(g commGroup, fn func(rank int, c *HierComm)) {
 	var wg sync.WaitGroup
 	for r := range g {
 		wg.Add(1)
@@ -114,137 +120,90 @@ func fillRankBufs(n, length int, seed uint64) (bufs [][]float32, sum []float64) 
 	return bufs, sum
 }
 
-// TestCollectiveSuite runs the same correctness checks against every
-// backend and rank count.
-func TestCollectiveSuite(t *testing.T) {
-	for name, factory := range backendFactories {
-		for _, n := range []int{1, 2, 3, 5} {
-			t.Run(fmt.Sprintf("%s/n=%d", name, n), func(t *testing.T) {
-				g := factory(t, n)
+// allReduceSum is the AllReduceSum collective in checkCollective's form.
+func allReduceSum(rank int, c *HierComm, buf []float32) error { return c.AllReduceSum(rank, buf) }
 
-				t.Run("AllReduceSum", func(t *testing.T) {
-					// Length 7 exercises uneven (and, for n=5, empty) chunks.
-					bufs, want := fillRankBufs(n, 7, 42)
-					runGroup(g, func(rank int, c Communicator) { c.AllReduceSum(rank, bufs[rank]) })
-					for r := 0; r < n; r++ {
-						for i := range want {
-							if bufs[r][i] != bufs[0][i] {
-								t.Fatalf("rank %d differs from rank 0 at %d", r, i)
-							}
-							if d := float64(bufs[0][i]) - want[i]; d > 1e-4 || d < -1e-4 {
-								t.Fatalf("elem %d: got %v, want %v", i, bufs[0][i], want[i])
-							}
-						}
-					}
-				})
-
-				t.Run("AllReduceMean", func(t *testing.T) {
-					bufs := make([][]float32, n)
-					for r := range bufs {
-						bufs[r] = []float32{float32(r), float32(2 * r)}
-					}
-					runGroup(g, func(rank int, c Communicator) { c.AllReduceMean(rank, bufs[rank]) })
-					wantMean := float32(n-1) / 2
-					for r := 0; r < n; r++ {
-						if bufs[r][0] != wantMean || bufs[r][1] != 2*wantMean {
-							t.Fatalf("rank %d: %v, want mean %v", r, bufs[r], wantMean)
-						}
-					}
-				})
-
-				t.Run("AllReduceSumRange", func(t *testing.T) {
-					// The range collective must reduce [lo,hi) and leave the
-					// rest of the buffer untouched.
-					const length, lo, hi = 13, 3, 11
-					bufs, want := fillRankBufs(n, length, 99)
-					orig := make([][]float32, n)
-					for r := range bufs {
-						orig[r] = append([]float32(nil), bufs[r]...)
-					}
-					runGroup(g, func(rank int, c Communicator) { c.AllReduceSumRange(rank, bufs[rank], lo, hi) })
-					for r := 0; r < n; r++ {
-						for i := 0; i < length; i++ {
-							switch {
-							case i < lo || i >= hi:
-								if bufs[r][i] != orig[r][i] {
-									t.Fatalf("rank %d: elem %d outside range was modified", r, i)
-								}
-							default:
-								if bufs[r][i] != bufs[0][i] {
-									t.Fatalf("rank %d differs from rank 0 at %d", r, i)
-								}
-								if d := float64(bufs[0][i]) - want[i]; d > 1e-4 || d < -1e-4 {
-									t.Fatalf("elem %d: got %v, want %v", i, bufs[0][i], want[i])
-								}
-							}
-						}
-					}
-				})
-
-				t.Run("Broadcast", func(t *testing.T) {
-					root := (n - 1) / 2
-					bufs := make([][]float32, n)
-					for r := range bufs {
-						bufs[r] = []float32{float32(r), float32(r)}
-					}
-					runGroup(g, func(rank int, c Communicator) { c.Broadcast(rank, root, bufs[rank]) })
-					for r := 0; r < n; r++ {
-						if bufs[r][0] != float32(root) || bufs[r][1] != float32(root) {
-							t.Fatalf("rank %d: %v, want root %d", r, bufs[r], root)
-						}
-					}
-				})
-
-				t.Run("Barrier", func(t *testing.T) {
-					var mu sync.Mutex
-					entered := 0
-					fail := false
-					runGroup(g, func(rank int, c Communicator) {
-						mu.Lock()
-						entered++
-						mu.Unlock()
-						c.Barrier(rank)
-						mu.Lock()
-						if entered != n {
-							fail = true
-						}
-						mu.Unlock()
-						c.Barrier(rank) // reusable
-					})
-					if fail {
-						t.Fatal("barrier released before all ranks arrived")
-					}
-				})
-			})
+// checkCollective runs op on g and on a ring-less group of the same size
+// over identical inputs of the given length, then compares every element:
+// inside [lo,hi) against the ring-less result (bit for bit), rank 0 and
+// the exact sum; outside the range against the untouched input.
+func checkCollective(t *testing.T, g commGroup, length, lo, hi int, op func(rank int, c *HierComm, buf []float32) error) {
+	t.Helper()
+	n := len(g)
+	bufs, want := fillRankBufs(n, length, uint64(length))
+	refBufs, _ := fillRankBufs(n, length, uint64(length))
+	orig, _ := fillRankBufs(n, length, uint64(length))
+	runGroup(g, func(rank int, c *HierComm) {
+		if err := op(rank, c, bufs[rank]); err != nil {
+			t.Error(err)
 		}
-	}
-}
-
-// TestBackendsBitIdentical pins that the TCP backend computes exactly the
-// same floats as the channel backend: same ring algorithm, same chunking,
-// same reduction order — so switching transports cannot perturb a training
-// trajectory.
-func TestBackendsBitIdentical(t *testing.T) {
-	const n, length = 4, 1000
-	chanBufs, _ := fillRankBufs(n, length, 7)
-	tcpBufs, _ := fillRankBufs(n, length, 7)
-
-	chanGroup := backendFactories["chan"](t, n)
-	tcpGroup := newTCPGroup(t, n)
-	runGroup(chanGroup, func(rank int, c Communicator) { c.AllReduceMean(rank, chanBufs[rank]) })
-	runGroup(tcpGroup, func(rank int, c Communicator) { c.AllReduceMean(rank, tcpBufs[rank]) })
+	})
+	runGroup(newRinglessGroup(n), func(rank int, c *HierComm) { op(rank, c, refBufs[rank]) })
 	for r := 0; r < n; r++ {
-		for i := range chanBufs[r] {
-			if chanBufs[r][i] != tcpBufs[r][i] {
-				t.Fatalf("rank %d elem %d: chan %v vs tcp %v", r, i, chanBufs[r][i], tcpBufs[r][i])
+		for i := 0; i < length; i++ {
+			got := bufs[r][i]
+			switch {
+			case i < lo || i >= hi:
+				if got != orig[r][i] {
+					t.Fatalf("rank %d: elem %d outside the range was modified", r, i)
+				}
+			case got != refBufs[r][i]:
+				t.Fatalf("rank %d elem %d: %v, ring-less reference %v", r, i, got, refBufs[r][i])
+			case got != bufs[0][i]:
+				t.Fatalf("rank %d differs from rank 0 at %d", r, i)
+			case float64(got)-want[i] > 1e-4 || float64(got)-want[i] < -1e-4:
+				t.Fatalf("elem %d: got %v, want %v", i, got, want[i])
 			}
 		}
 	}
 }
 
-// BenchmarkAllReduceTCP measures the TCP ring all-reduce across 4
-// loopback-connected ranks on the 64k-element buffer BenchmarkAllReduce
-// uses for the channel backend, under each wire codec. bytes/op is the
+// TestCollectiveSuite is the shape matrix: ring-less groups of n ∈
+// {1,2,3,5} ranks, and loopback TCP rings of procs × local ranks. Every
+// shape must reduce correctly (uneven and empty chunks included), leave
+// the outside of a range untouched, agree bitwise across ranks, and match
+// the ring-less reference of the same total size bit for bit.
+func TestCollectiveSuite(t *testing.T) {
+	type shape struct {
+		name         string
+		procs, local int // procs == 0: ring-less group of local ranks
+	}
+	var shapes []shape
+	for _, n := range []int{1, 2, 3, 5} {
+		shapes = append(shapes, shape{fmt.Sprintf("chan/n=%d", n), 0, n})
+	}
+	for _, procs := range []int{1, 2, 3, 5} {
+		shapes = append(shapes, shape{fmt.Sprintf("tcp/n=%d", procs), procs, 1})
+	}
+	for _, procs := range []int{2, 3} {
+		shapes = append(shapes, shape{fmt.Sprintf("hier/procs=%d/local=2", procs), procs, 2})
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			g := newRinglessGroup(sh.local)
+			if sh.procs > 0 {
+				g = newRingGroup(t, sh.procs, sh.local, transport.CodecF32)
+			}
+			t.Run("AllReduceSum", func(t *testing.T) {
+				// Length 3 leaves some ranks' chunks empty at n ≥ 5.
+				for _, length := range []int{3, 1000} {
+					checkCollective(t, g, length, 0, length, allReduceSum)
+				}
+			})
+			t.Run("AllReduceSumRange", func(t *testing.T) {
+				const length, lo, hi = 1013, 3, 1000
+				checkCollective(t, g, length, lo, hi, func(rank int, c *HierComm, buf []float32) error {
+					return c.AllReduceSumRange(rank, buf, lo, hi)
+				})
+			})
+		})
+	}
+}
+
+// BenchmarkAllReduceTCP measures the all-reduce across 4 loopback-connected
+// processes hosting one rank each — HierComm with one local rank, so every
+// hop crosses the TCP ring — on the 64k-element buffer BenchmarkAllReduce
+// uses for the ring-less group, under each wire codec. bytes/op is the
 // logical float payload, so MB/s is effective bandwidth and directly
 // comparable across codecs; wire-B/op reports what actually crossed the
 // socket per operation (halved under f16).
@@ -253,7 +212,7 @@ func BenchmarkAllReduceTCP(b *testing.B) {
 	const elems = 1 << 16
 	for _, codec := range []transport.Codec{transport.CodecF32, transport.CodecF16} {
 		b.Run(codec.String(), func(b *testing.B) {
-			g := newTCPGroupCodec(b, n, codec)
+			g := newRingGroup(b, n, 1, codec)
 			bufs := make([][]float32, n)
 			for r := range bufs {
 				bufs[r] = make([]float32, elems)
@@ -269,14 +228,14 @@ func BenchmarkAllReduceTCP(b *testing.B) {
 				}(r)
 			}
 			g[0].AllReduceSum(0, bufs[0]) // warm the recycled buffers
-			sent0, _ := g[0].(WireCompression).WireBytes()
+			sent0, _ := g[0].WireBytes()
 			b.SetBytes(4 * elems)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g[0].AllReduceSum(0, bufs[0])
 			}
 			b.StopTimer()
-			sent1, _ := g[0].(WireCompression).WireBytes()
+			sent1, _ := g[0].WireBytes()
 			b.ReportMetric(float64(sent1-sent0)/float64(b.N), "wire-B/op")
 			wg.Wait()
 		})

@@ -1,36 +1,33 @@
 package ddp
 
 // Tests for the compressed (binary16 wire codec) collectives: cross-rank
-// agreement and tolerance across backends and shapes, the exactness
-// carve-outs (small collectives, Broadcast), error-feedback behaviour over
-// repeated steps, repeat determinism, and the halved-bytes property the
-// compression exists for.
+// agreement and tolerance across shapes, the small-collective exactness
+// carve-out, error-feedback behaviour over repeated steps, repeat
+// determinism, and the halved-bytes property the compression exists for.
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"testing"
 
 	"melissa/internal/transport"
 )
 
-// compressGroups builds the backend × shape matrix for a given codec:
-// flat TCP rings for local=1 shapes and hierarchical groups for local=2,
-// covering procs ∈ {2,4} like TestHierBitIdenticalToFlat.
+// compressGroups builds the shape matrix for a given codec: one rank per
+// process (every hop on the ring) and two ranks per process (channel hops
+// between them), over procs ∈ {2,4}.
 func compressGroups(tb testing.TB, codec transport.Codec) map[string]commGroup {
 	groups := map[string]commGroup{}
 	for _, procs := range []int{2, 4} {
-		groups[fmt.Sprintf("tcp/procs=%d", procs)] = newTCPGroupCodec(tb, procs, codec)
-		for _, local := range []int{1, 2} {
-			groups[fmt.Sprintf("hier/procs=%d/local=%d", procs, local)] = newHierGroupCodec(tb, procs, local, codec)
-		}
+		groups[fmt.Sprintf("tcp/procs=%d", procs)] = newRingGroup(tb, procs, 1, codec)
+		groups[fmt.Sprintf("hier/procs=%d/local=2", procs)] = newRingGroup(tb, procs, 2, codec)
 	}
 	return groups
 }
 
 // TestCompressedAllReduceTolerance checks the f16 range collective on every
-// backend × shape: all ranks must agree bitwise, and the result must stay
+// shape: all ranks must agree bitwise, and the result must stay
 // within the quantization error budget of the exact float64 sum. Both the
 // error-fed and raw codecs are covered.
 func TestCompressedAllReduceTolerance(t *testing.T) {
@@ -40,7 +37,7 @@ func TestCompressedAllReduceTolerance(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", codec, name), func(t *testing.T) {
 				n := len(g)
 				bufs, want := fillRankBufs(n, length, 23)
-				runGroup(g, func(rank int, c Communicator) {
+				runGroup(g, func(rank int, c *HierComm) {
 					if err := c.AllReduceSumRange(rank, bufs[rank], 0, length); err != nil {
 						t.Error(err)
 					}
@@ -67,16 +64,16 @@ func TestCompressedAllReduceTolerance(t *testing.T) {
 // TestCompressedSmallCollectiveExact pins the compressMinFloats carve-out:
 // collectives below the threshold (like the trainer's 2-float status
 // all-reduce) must stay exact float32 even on a compressed ring, bit-equal
-// to the channel backend.
+// to the ring-less group.
 func TestCompressedSmallCollectiveExact(t *testing.T) {
 	const n = 4
 	length := compressMinFloats - 1
 	f16Bufs, _ := fillRankBufs(n, length, 5)
 	refBufs, _ := fillRankBufs(n, length, 5)
-	g := newTCPGroupCodec(t, n, transport.CodecF16)
-	ref := backendFactories["chan"](t, n)
-	runGroup(g, func(rank int, c Communicator) { c.AllReduceSumRange(rank, f16Bufs[rank], 0, length) })
-	runGroup(ref, func(rank int, c Communicator) { c.AllReduceSumRange(rank, refBufs[rank], 0, length) })
+	g := newRingGroup(t, n, 1, transport.CodecF16)
+	ref := newRinglessGroup(n)
+	runGroup(g, func(rank int, c *HierComm) { c.AllReduceSumRange(rank, f16Bufs[rank], 0, length) })
+	runGroup(ref, func(rank int, c *HierComm) { c.AllReduceSumRange(rank, refBufs[rank], 0, length) })
 	for r := 0; r < n; r++ {
 		for i := 0; i < length; i++ {
 			if f16Bufs[r][i] != refBufs[r][i] {
@@ -86,56 +83,9 @@ func TestCompressedSmallCollectiveExact(t *testing.T) {
 	}
 }
 
-// TestCompressedBroadcastExact pins that Broadcast ships exact float32 on a
-// compressed ring — it carries weights, not gradients — including through
-// the chunked streaming path for buffers beyond broadcastChunkFloats.
-func TestCompressedBroadcastExact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-megabyte broadcast")
-	}
-	const procs = 2
-	length := broadcastChunkFloats + 12345 // forces the second chunk, uneven tail
-	for name, build := range map[string]func(testing.TB) commGroup{
-		"tcp":  func(tb testing.TB) commGroup { return newTCPGroupCodec(tb, procs, transport.CodecF16) },
-		"hier": func(tb testing.TB) commGroup { return newHierGroupCodec(tb, procs, 2, transport.CodecF16) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			g := build(t)
-			n := len(g)
-			rng := rand.New(rand.NewPCG(1, 2))
-			root := make([]float32, length)
-			for i := range root {
-				// Values with mantissa bits far beyond binary16 precision, so
-				// any lossy hop would be caught.
-				root[i] = float32(rng.NormFloat64()) * 1e-3
-			}
-			bufs := make([][]float32, n)
-			for r := range bufs {
-				if r == 0 {
-					bufs[r] = append([]float32(nil), root...)
-				} else {
-					bufs[r] = make([]float32, length)
-				}
-			}
-			runGroup(g, func(rank int, c Communicator) {
-				if err := c.Broadcast(rank, 0, bufs[rank]); err != nil {
-					t.Error(err)
-				}
-			})
-			for r := 0; r < n; r++ {
-				for i := range root {
-					if bufs[r][i] != root[i] {
-						t.Fatalf("rank %d elem %d: %v, want %v — broadcast was lossy", r, i, bufs[r][i], root[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestCompressedRepeatDeterminism pins the determinism contract: two
 // freshly built groups running the same call sequence produce bit-identical
-// results, for both compressed codecs and both backends.
+// results, for both compressed codecs, with and without channel hops.
 func TestCompressedRepeatDeterminism(t *testing.T) {
 	const length = 2048
 	const steps = 3
@@ -148,7 +98,7 @@ func TestCompressedRepeatDeterminism(t *testing.T) {
 			for r := range bufs {
 				bufs[r] = step[r]
 			}
-			runGroup(g, func(rank int, c Communicator) {
+			runGroup(g, func(rank int, c *HierComm) {
 				if err := c.AllReduceSumRange(rank, bufs[rank], 0, length); err != nil {
 					t.Error(err)
 				}
@@ -162,8 +112,8 @@ func TestCompressedRepeatDeterminism(t *testing.T) {
 	for _, codec := range []transport.Codec{transport.CodecF16, transport.CodecF16Raw} {
 		t.Run(codec.String(), func(t *testing.T) {
 			for name, build := range map[string]func(testing.TB) commGroup{
-				"tcp":  func(tb testing.TB) commGroup { return newTCPGroupCodec(tb, 4, codec) },
-				"hier": func(tb testing.TB) commGroup { return newHierGroupCodec(tb, 2, 2, codec) },
+				"tcp":  func(tb testing.TB) commGroup { return newRingGroup(tb, 4, 1, codec) },
+				"hier": func(tb testing.TB) commGroup { return newRingGroup(tb, 2, 2, codec) },
 			} {
 				t.Run(name, func(t *testing.T) {
 					a := run(build(t))
@@ -201,7 +151,7 @@ func TestCompressedErrorFeedback(t *testing.T) {
 	}
 
 	accumulate := func(codec transport.Codec) []float64 {
-		g := newTCPGroupCodec(t, n, codec)
+		g := newRingGroup(t, n, 1, codec)
 		acc := make([]float64, length)
 		bufs := make([][]float32, n)
 		for r := range bufs {
@@ -211,7 +161,7 @@ func TestCompressedErrorFeedback(t *testing.T) {
 			for r := range bufs {
 				copy(bufs[r], grads[r])
 			}
-			runGroup(g, func(rank int, c Communicator) {
+			runGroup(g, func(rank int, c *HierComm) {
 				if err := c.AllReduceSumRange(rank, bufs[rank], 0, length); err != nil {
 					t.Error(err)
 				}
@@ -252,44 +202,50 @@ func TestCompressedWireBytesHalved(t *testing.T) {
 	const n = 4
 	const length = 1 << 14
 	measure := func(codec transport.Codec) uint64 {
-		g := newTCPGroupCodec(t, n, codec)
+		g := newRingGroup(t, n, 1, codec)
 		bufs := make([][]float32, n)
 		for r := range bufs {
 			bufs[r] = make([]float32, length)
 		}
-		runGroup(g, func(rank int, c Communicator) { c.AllReduceSumRange(rank, bufs[rank], 0, length) })
-		sent, _ := g[0].(WireCompression).WireBytes()
-		return sent
+		runGroup(g, func(rank int, c *HierComm) { c.AllReduceSumRange(rank, bufs[rank], 0, length) })
+		// Count received bytes: they are final once the collective returns,
+		// while the send counter advances on the ring's writer goroutine
+		// and may still trail the last frame.
+		_, recv := g[0].WireBytes()
+		return recv
 	}
 	f32 := measure(transport.CodecF32)
 	f16 := measure(transport.CodecF16)
 	t.Logf("wire bytes per rank: f32=%d f16=%d (ratio %.2f)", f32, f16, float64(f32)/float64(f16))
 	if float64(f32) < 1.9*float64(f16) {
-		t.Fatalf("f16 ring sent %d bytes vs f32's %d: less than 1.9x reduction", f16, f32)
+		t.Fatalf("f16 ring moved %d bytes vs f32's %d: less than 1.9x reduction", f16, f32)
 	}
 }
 
-// TestWireCompressionInterface pins which backends expose wire compression
-// introspection and what they report.
+// TestWireCompressionInterface pins what each group shape reports about
+// its wire format: the ring's negotiated codec, or exact float32 and zero
+// wire bytes for a ring-less group, which never touches a network (and
+// whose Close and Abort work without a ring).
 func TestWireCompressionInterface(t *testing.T) {
-	g := newTCPGroupCodec(t, 2, transport.CodecF16)
-	wc, ok := g[0].(WireCompression)
-	if !ok {
-		t.Fatal("TCPComm does not implement WireCompression")
+	if c := newRingGroup(t, 2, 1, transport.CodecF16)[0].WireCodec(); c != transport.CodecF16 {
+		t.Fatalf("one rank per process: codec %v, want f16", c)
 	}
-	if wc.WireCodec() != transport.CodecF16 {
-		t.Fatalf("codec %v, want f16", wc.WireCodec())
+	if c := newRingGroup(t, 2, 2, transport.CodecF16Raw)[0].WireCodec(); c != transport.CodecF16Raw {
+		t.Fatalf("two ranks per process: codec %v, want f16-noef", c)
 	}
-	h := newHierGroupCodec(t, 2, 2, transport.CodecF16Raw)
-	hw, ok := h[0].(WireCompression)
-	if !ok {
-		t.Fatal("HierComm does not implement WireCompression")
+	g := newRinglessGroup(2)
+	runGroup(g, func(rank int, c *HierComm) { c.AllReduceSum(rank, make([]float32, 64)) })
+	if c := g[0].WireCodec(); c != transport.CodecF32 {
+		t.Fatalf("ring-less: codec %v, want f32", c)
 	}
-	if hw.WireCodec() != transport.CodecF16Raw {
-		t.Fatalf("codec %v, want f16-noef", hw.WireCodec())
+	if sent, recv := g[0].WireBytes(); sent != 0 || recv != 0 {
+		t.Fatalf("ring-less: wire bytes %d/%d, want 0/0", sent, recv)
 	}
-	var c Communicator = NewCommunicator(2)
-	if _, ok := c.(WireCompression); ok {
-		t.Fatal("ChanComm unexpectedly implements WireCompression")
+	if err := g[0].Close(); err != nil {
+		t.Fatalf("ring-less Close: %v", err)
+	}
+	g[0].Abort()
+	if err := g[0].AllReduceSum(0, make([]float32, 64)); !errors.Is(err, transport.ErrRingAborted) {
+		t.Fatalf("ring-less collective after Abort: %v, want ErrRingAborted", err)
 	}
 }

@@ -1,30 +1,37 @@
-// Package ddp implements distributed data-parallel primitives: collective
-// operations (all-reduce, broadcast, barrier) over a fixed group of
-// training ranks, behind a pluggable Communicator interface with two
-// backends.
+// Package ddp implements the gradient all-reduce of distributed
+// data-parallel training over a fixed group of training ranks.
 //
 // The paper's server trains with "distributed data parallelism … After each
 // batch backpropagation, the locally computed vector of weight updates is
 // all-reduced between all processes and applied to each local NN copy to
-// keep them identical" (§3.1). Both backends run the same bandwidth-optimal
-// ring scatter-reduce/all-gather pattern NCCL uses, so their cost model
-// (2(n−1)/n · bytes) is also what the cluster simulator charges for
-// gradient synchronization:
+// keep them identical" (§3.1). One communicator, HierComm, carries that
+// collective for every topology. It runs the bandwidth-optimal ring
+// scatter-reduce/all-gather NCCL uses over all ranks of the group, so its
+// cost model (2(n−1)/n · bytes) is also what the cluster simulator charges
+// for gradient synchronization. Each ring hop rides one of two transports:
 //
-//   - ChanComm connects ranks that are goroutines of one process (the
-//     stand-in for GPU training processes) through channels with recycled
-//     message buffers.
-//   - TCPComm connects ranks that are separate OS processes through a TCP
-//     ring (transport.Ring), reusing the transport package's length-framed
-//     wire format and the same recycled-buffer discipline.
+//   - channel hops connect consecutive ranks hosted by one process
+//     (goroutines — the stand-in for GPU training processes) through
+//     channels with recycled message buffers;
+//   - the leader hop connects the last rank hosted by one process to the
+//     first rank of the next process over a TCP ring (transport.Ring),
+//     reusing the transport package's length-framed wire format and the
+//     same recycled-buffer discipline.
+//
+// NewCommunicator builds a ring-less group: every hop is a channel and the
+// ring closes inside the process. GroupFromRing and ConnectGroup wrap an
+// inter-process ring with any number of ranks per process. The transport
+// of a hop never changes the chunking or the reduction order, so every
+// shape computes bit-identical fp32 results to every other shape with the
+// same total rank count.
 //
 // Collectives operate directly on the caller's flat buffer — for training,
 // nn.Network.FlatGrads — so there is no gather/scatter staging copy, and
-// both backends are allocation-free in steady state.
+// they are allocation-free in steady state.
 //
 // # Bucketed overlap
 //
-// The range collectives (AllReduceSumRange) exist so the trainer can
+// The range collective (AllReduceSumRange) exists so the trainer can
 // overlap gradient synchronization with backpropagation: the flat gradient
 // slab is bucketed by layer boundaries (nn.Network.GradBuckets), and each
 // bucket's all-reduce is launched as soon as its layer's gradients are
@@ -37,55 +44,47 @@
 //
 // # Wire compression
 //
-// The transport backends optionally compress collective payloads to IEEE
-// 754 binary16 on the wire (transport.Codec, negotiated per ring in the
+// The leader hop optionally compresses collective payloads to IEEE 754
+// binary16 on the wire (transport.Codec, negotiated per ring in the
 // identity handshake), halving inter-node all-reduce bytes while every
-// rank keeps accumulating in float32. AllReduceSumRange feeds the rounding
-// error of each rank's own contribution back into the next step's
-// gradients (error feedback, CodecF16) or drops it (CodecF16Raw);
-// broadcasts and sub-compressMinFloats frames always travel exact.
-// Communicators on a compressed ring expose the negotiated codec and
-// socket-level byte counters through WireCompression, which
-// core.NewTrainer validates against TrainerConfig.GradCompress so a
-// codec mismatch fails at construction. The codec math, determinism
-// contract and tuning guidance live in docs/communication.md.
+// rank keeps accumulating in float32; channel hops always move exact
+// float32. AllReduceSumRange feeds the rounding error of each rank's own
+// contribution back into the next step's gradients (error feedback,
+// CodecF16) or drops it (CodecF16Raw); sub-compressMinFloats collectives
+// always travel exact. HierComm.WireCodec reports the negotiated codec
+// (CodecF32 for a ring-less group), which core.NewTrainer validates
+// against TrainerConfig.GradCompress so a codec mismatch fails at
+// construction. The codec math, determinism contract and tuning guidance
+// live in docs/communication.md.
 //
 // # Failure model
 //
-// Collectives return errors instead of panicking. ChanComm cannot fail.
-// TCPComm fails when a ring link does: the transport layer's heartbeats
-// and IO deadlines (transport.RingOptions) detect a dead or partitioned
-// peer within one IO timeout, and the error propagates out of whichever
-// collective is in flight. Classify sorts errors into transient
-// (connection establishment — retry with backoff, e.g. via Retry, as
-// ConnectTCP's dial loop already does), aborted (deliberate local
-// teardown via TCPComm.Abort during group reconfiguration), and fatal
-// (established-link death — the ring epoch is unusable; the group must
-// re-form over the survivors and roll back to the last group checkpoint,
-// the protocol the internal/elastic membership controller implements). A
-// communicator that returned a non-nil error is poisoned and must be
-// closed, never reused.
+// Collectives return errors instead of panicking. Channel hops cannot fail
+// on their own; the leader hop fails when a ring link does: the transport
+// layer's heartbeats and IO deadlines (transport.RingOptions) detect a dead
+// or partitioned peer within one IO timeout, and the error propagates out
+// of whichever collective is in flight on every local rank. Classify sorts
+// errors into transient (connection establishment — retry with backoff,
+// e.g. via Retry), aborted (deliberate local teardown via HierComm.Abort
+// during group reconfiguration), and fatal (established-link death — the
+// ring epoch is unusable; the group must re-form over the survivors and
+// roll back to the last group checkpoint, the protocol the internal/elastic
+// membership controller implements). A communicator that returned a
+// non-nil error is poisoned and must be closed, never reused.
 package ddp
-
-import (
-	"fmt"
-	"sync"
-)
 
 // Communicator connects a fixed group of ranks for collective operations.
 // Every collective must be entered by all ranks concurrently (one goroutine
 // or process per rank), like an MPI communicator, and with matching
-// arguments (equal buffer lengths, identical ranges, same root). Rank
-// identifies the caller in the global rank space [0, Size).
+// arguments (equal buffer lengths, identical ranges). Rank identifies the
+// caller in the global rank space [0, Size).
 //
-// Collectives return an error when the communicator's links fail: the
-// in-process backend cannot fail (it always returns nil, and the nil
-// result costs nothing on the hot path), while the transport backend
-// surfaces broken ring links as errors instead of the pre-elastic panic.
-// Callers classify the error (Classify): transient faults may be retried,
-// fatal ones mean this ring epoch is dead and the group must re-form over
-// the survivors (internal/elastic). After any non-nil error the
-// communicator is poisoned — no further collective on it may be issued.
+// Collectives return an error when the communicator's links fail; callers
+// classify it (Classify): transient faults may be retried, fatal ones mean
+// this ring epoch is dead and the group must re-form over the survivors
+// (internal/elastic). After any non-nil error the communicator is poisoned
+// — no further collective on it may be issued. HierComm is the one
+// implementation.
 type Communicator interface {
 	// Size returns the number of ranks in the group.
 	Size() int
@@ -98,20 +97,13 @@ type Communicator interface {
 	// the bucketed-overlap primitive: all ranks must issue the same
 	// sequence of ranges in the same order.
 	AllReduceSumRange(rank int, buf []float32, lo, hi int) error
-	// AllReduceMean is AllReduceSum followed by division by the rank
-	// count — gradient averaging across data-parallel replicas.
-	AllReduceMean(rank int, buf []float32) error
-	// Broadcast copies rank root's buffer into every other rank's buffer.
-	Broadcast(rank, root int, buf []float32) error
-	// Barrier blocks until every rank has entered it.
-	Barrier(rank int) error
 }
 
-// link is one directed channel of the ring (or one broadcast fan-out arm)
-// together with its recycled message buffers. Senders draw an owned buffer
-// from free, fill it and pass it through data; receivers consume it and
-// return it to free. Two buffers keep the pipeline full without ever
-// sharing a buffer between writer and reader.
+// link is one directed channel hop of the ring together with its recycled
+// message buffers. Senders draw an owned buffer from free, fill it and
+// pass it through data; receivers consume it and return it to free. Two
+// buffers keep the pipeline full without ever sharing a buffer between
+// writer and reader.
 type link struct {
 	data chan []float32
 	free chan []float32
@@ -131,50 +123,6 @@ func newLink() link {
 // linkDepth is the number of in-flight message buffers per link.
 const linkDepth = 2
 
-// send fills a recycled buffer with msg and passes it down the link.
-func (l *link) send(msg []float32) {
-	buf := <-l.free
-	if cap(buf) < len(msg) {
-		buf = make([]float32, len(msg))
-	}
-	buf = buf[:len(msg)]
-	copy(buf, msg)
-	l.data <- buf
-}
-
-// ChanComm is the in-process Communicator backend: ranks are goroutines
-// connected by channels. It is the backend the single-process server and
-// the tests use.
-type ChanComm struct {
-	n     int
-	links []link // links[r] carries messages rank r → rank (r+1)%n
-	bcast []link // one link per rank for broadcast fan-out
-	bar   *barrier
-}
-
-var _ Communicator = (*ChanComm)(nil)
-
-// NewCommunicator creates an in-process channel communicator for n ranks.
-func NewCommunicator(n int) *ChanComm {
-	if n <= 0 {
-		panic(fmt.Sprintf("ddp: invalid communicator size %d", n))
-	}
-	c := &ChanComm{
-		n:     n,
-		links: make([]link, n),
-		bcast: make([]link, n),
-		bar:   newBarrier(n),
-	}
-	for i := range c.links {
-		c.links[i] = newLink()
-		c.bcast[i] = newLink()
-	}
-	return c
-}
-
-// Size implements Communicator.
-func (c *ChanComm) Size() int { return c.n }
-
 // chunkRange returns the bounds [lo, hi) of the i-th of n near-equal
 // contiguous chunks of a length-sized buffer. Pure arithmetic — no
 // boundary slice is materialized on the hot path.
@@ -186,129 +134,4 @@ func chunkRange(length, n, i int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// AllReduceSum implements Communicator, using a ring scatter-reduce
-// followed by a ring all-gather. The reduction order for each chunk is
-// fixed by ring position, so results are deterministic and identical on
-// every rank.
-func (c *ChanComm) AllReduceSum(rank int, buf []float32) error {
-	if c.n == 1 {
-		return nil
-	}
-	n := c.n
-	chunk := func(i int) []float32 {
-		lo, hi := chunkRange(len(buf), n, ((i%n)+n)%n)
-		return buf[lo:hi]
-	}
-
-	send := &c.links[rank]
-	recv := &c.links[(rank-1+n)%n]
-
-	// Scatter-reduce: after step s, rank r has accumulated s+1 terms into
-	// chunk (r-s). After n-1 steps, chunk (r+1) holds the complete sum.
-	for s := 0; s < n-1; s++ {
-		send.send(chunk(rank - s))
-		in := <-recv.data
-		dst := chunk(rank - s - 1)
-		for i := range dst {
-			dst[i] += in[i]
-		}
-		recv.free <- in
-	}
-	// All-gather: circulate the completed chunks.
-	for s := 0; s < n-1; s++ {
-		send.send(chunk(rank + 1 - s))
-		in := <-recv.data
-		copy(chunk(rank-s), in)
-		recv.free <- in
-	}
-	return nil
-}
-
-// AllReduceSumRange implements Communicator: an independent ring reduction
-// over buf[lo:hi]. The chunking is relative to the range, so the same
-// range must be issued by every rank.
-func (c *ChanComm) AllReduceSumRange(rank int, buf []float32, lo, hi int) error {
-	return c.AllReduceSum(rank, buf[lo:hi])
-}
-
-// AllReduceMean implements Communicator.
-func (c *ChanComm) AllReduceMean(rank int, buf []float32) error {
-	if err := c.AllReduceSum(rank, buf); err != nil {
-		return err
-	}
-	if c.n > 1 {
-		inv := 1 / float32(c.n)
-		for i := range buf {
-			buf[i] *= inv
-		}
-	}
-	return nil
-}
-
-// SyncGradients averages a network's gradient slab (nn.Network.FlatGrads)
-// across all ranks of comm. Every rank must call it concurrently after its
-// local backward pass; on return each replica holds identical averaged
-// gradients, matching the all-reduce step of §3.1. The collective operates
-// on the slab in place — no gather/scatter staging.
-func SyncGradients(comm Communicator, rank int, grads []float32) error {
-	return comm.AllReduceMean(rank, grads)
-}
-
-// Broadcast implements Communicator. All ranks must call it concurrently;
-// buffers must have equal length.
-func (c *ChanComm) Broadcast(rank, root int, buf []float32) error {
-	if c.n == 1 {
-		return nil
-	}
-	if rank == root {
-		for r := 0; r < c.n; r++ {
-			if r != root {
-				c.bcast[r].send(buf)
-			}
-		}
-	} else {
-		in := <-c.bcast[rank].data
-		copy(buf, in)
-		c.bcast[rank].free <- in
-	}
-	return c.Barrier(rank)
-}
-
-// Barrier implements Communicator.
-func (c *ChanComm) Barrier(int) error {
-	c.bar.wait()
-	return nil
-}
-
-// barrier is a reusable n-party barrier.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	phase int
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	phase := b.phase
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.phase++
-		b.cond.Broadcast()
-		return
-	}
-	for b.phase == phase {
-		b.cond.Wait()
-	}
 }

@@ -12,6 +12,15 @@ import (
 	"melissa/internal/tensor"
 )
 
+// meanGrads averages a gradient slab across the ranks of c in place — the
+// trainer's gradient sync: all-reduce, then divide by the rank count.
+func meanGrads(t *testing.T, c *HierComm, rank int, grads []float32) {
+	if err := c.AllReduceSum(rank, grads); err != nil {
+		t.Error(err)
+	}
+	tensor.Scal(1/float32(c.Size()), grads)
+}
+
 // runRanks launches one goroutine per rank and waits for completion.
 func runRanks(n int, fn func(rank int)) {
 	var wg sync.WaitGroup
@@ -115,21 +124,6 @@ func TestAllReduceBufferShorterThanRanks(t *testing.T) {
 	}
 }
 
-func TestAllReduceMean(t *testing.T) {
-	n := 4
-	c := NewCommunicator(n)
-	bufs := make([][]float32, n)
-	for r := range bufs {
-		bufs[r] = []float32{float32(r)} // 0,1,2,3 → mean 1.5
-	}
-	runRanks(n, func(rank int) { c.AllReduceMean(rank, bufs[rank]) })
-	for r := 0; r < n; r++ {
-		if bufs[r][0] != 1.5 {
-			t.Fatalf("rank %d: %v, want 1.5", r, bufs[r][0])
-		}
-	}
-}
-
 // Property: all ranks end with identical buffers equal to the element-wise
 // sum (within float tolerance), for random sizes and rank counts.
 func TestAllReduceProperty(t *testing.T) {
@@ -167,46 +161,8 @@ func TestAllReduceProperty(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	n := 4
-	c := NewCommunicator(n)
-	bufs := make([][]float32, n)
-	for r := range bufs {
-		bufs[r] = []float32{float32(r), float32(r)}
-	}
-	runRanks(n, func(rank int) { c.Broadcast(rank, 2, bufs[rank]) })
-	for r := 0; r < n; r++ {
-		if bufs[r][0] != 2 || bufs[r][1] != 2 {
-			t.Fatalf("rank %d: %v", r, bufs[r])
-		}
-	}
-}
-
-func TestBarrier(t *testing.T) {
-	n := 8
-	c := NewCommunicator(n)
-	var mu sync.Mutex
-	phase1 := 0
-	fail := false
-	runRanks(n, func(rank int) {
-		mu.Lock()
-		phase1++
-		mu.Unlock()
-		c.Barrier(rank)
-		mu.Lock()
-		if phase1 != n {
-			fail = true
-		}
-		mu.Unlock()
-		c.Barrier(rank) // reusable
-	})
-	if fail {
-		t.Fatal("barrier released before all ranks arrived")
-	}
-}
-
-// TestFlatGradSlabViews verifies the invariant SyncGradients relies on: a
-// network's parameter gradients are contiguous views into the slab that
+// TestFlatGradSlabViews verifies the invariant in-place gradient sync
+// relies on: a network's parameter gradients are contiguous views into the slab that
 // FlatGrads exposes, in Params() order.
 func TestFlatGradSlabViews(t *testing.T) {
 	net := nn.ArchitectureMLP(3, []int{4}, 2, 1)
@@ -287,7 +243,7 @@ func TestDataParallelEquivalence(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			net.ZeroGrad()
 			net.Backward(l.Backward(net.Forward(shards[rank]), targets[rank]))
-			SyncGradients(comm, rank, net.FlatGrads())
+			meanGrads(t, comm, rank, net.FlatGrads())
 			tensor.Axpy(-lr, net.FlatGrads(), net.FlatParams())
 		}
 	})
@@ -342,7 +298,7 @@ func TestDDPWithAdam(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			net.ZeroGrad()
 			net.Backward(l.Backward(net.Forward(inputs[rank]), targets[rank]))
-			SyncGradients(comm, rank, net.FlatGrads())
+			meanGrads(t, comm, rank, net.FlatGrads())
 			a.StepFlat(net.FlatParams(), net.FlatGrads())
 		}
 	})

@@ -8,38 +8,19 @@ import (
 	"melissa/internal/transport"
 )
 
-// RankSpan is implemented by communicator backends that serve a fixed
-// contiguous span of global ranks per endpoint (HierComm). Consumers use
-// it, like SingleRank, to reject configurations that would drive an
-// endpoint from ranks it does not own.
-type RankSpan interface {
-	// RankOffset returns the first global rank the endpoint serves.
-	RankOffset() int
-	// LocalRanks returns how many consecutive global ranks it serves.
-	LocalRanks() int
-}
-
-// RankGroup binds a collective backend to the contiguous block of global
+// RankGroup binds the communicator to the contiguous block of global
 // ranks one process drives: local rank l of the process is global rank
-// Offset+l on Comm. It is the single handle the trainer and server take in
-// place of the old raw Comm+RankOffset pair, so every backend — in-process
-// channels, a flat TCP ring, or the hierarchical communicator — is wired
-// identically. The zero value means "in-process, standalone": consumers
-// substitute a fresh LocalGroup of their configured rank count.
+// Offset+l on Comm. It is the single handle the trainer and server take,
+// so every topology — a ring-less in-process group, one rank per process
+// on a TCP ring, or several ranks per process — is wired identically. The
+// zero value means "in-process, standalone": consumers substitute a fresh
+// NewCommunicator of their configured rank count.
 type RankGroup struct {
-	// Comm is the collective backend shared by the group. nil means
-	// standalone: the consumer creates an in-process communicator sized to
-	// its local rank count (LocalGroup).
-	Comm Communicator
+	// Comm is the group's communicator. nil means standalone: the consumer
+	// creates a ring-less communicator sized to its local rank count.
+	Comm *HierComm
 	// Offset is the first global rank this process drives on Comm.
 	Offset int
-}
-
-// LocalGroup is the standalone group: n in-process ranks over a channel
-// communicator, offset 0. It is what consumers substitute for a zero
-// RankGroup.
-func LocalGroup(n int) RankGroup {
-	return RankGroup{Comm: NewCommunicator(n)}
 }
 
 // World returns the total rank count of the group, or 0 for the zero
@@ -52,9 +33,8 @@ func (g RankGroup) World() int {
 }
 
 // Validate checks that this process may drive local consecutive ranks
-// starting at Offset: the span must fit the communicator, and endpoint
-// backends that declare their span (RankSpan) or single rank (SingleRank)
-// must agree with it.
+// starting at Offset: the span must be exactly the one the communicator
+// hosts.
 func (g RankGroup) Validate(local int) error {
 	if local <= 0 {
 		return fmt.Errorf("ddp: rank group local count %d, want >= 1", local)
@@ -65,21 +45,9 @@ func (g RankGroup) Validate(local int) error {
 		}
 		return nil
 	}
-	if g.Offset < 0 || g.Offset+local > g.Comm.Size() {
-		return fmt.Errorf("ddp: ranks [%d,%d) exceed communicator size %d", g.Offset, g.Offset+local, g.Comm.Size())
-	}
-	if span, ok := g.Comm.(RankSpan); ok {
-		if g.Offset != span.RankOffset() || local != span.LocalRanks() {
-			return fmt.Errorf("ddp: communicator serves ranks [%d,%d), group configured for [%d,%d)",
-				span.RankOffset(), span.RankOffset()+span.LocalRanks(), g.Offset, g.Offset+local)
-		}
-	} else if sr, ok := g.Comm.(SingleRank); ok {
-		if local != 1 {
-			return fmt.Errorf("ddp: single-rank communicator cannot drive %d local ranks", local)
-		}
-		if g.Offset != sr.Rank() {
-			return fmt.Errorf("ddp: rank offset %d does not match communicator rank %d", g.Offset, sr.Rank())
-		}
+	if g.Offset != g.Comm.offset || local != g.Comm.local {
+		return fmt.Errorf("ddp: communicator serves ranks [%d,%d), group configured for [%d,%d)",
+			g.Comm.offset, g.Comm.offset+g.Comm.local, g.Offset, g.Offset+local)
 	}
 	return nil
 }
@@ -87,18 +55,17 @@ func (g RankGroup) Validate(local int) error {
 // Close releases the group's network resources, when it has any. It must
 // not race in-flight collectives; Abort first to interrupt them.
 func (g RankGroup) Close() error {
-	if c, ok := g.Comm.(interface{ Close() error }); ok {
-		return c.Close()
+	if g.Comm == nil {
+		return nil
 	}
-	return nil
+	return g.Comm.Close()
 }
 
-// Abort poisons the group's communicator (when the backend supports it),
-// failing in-flight collectives on every local rank. Safe to call from any
-// goroutine.
+// Abort poisons the group's communicator, failing in-flight collectives
+// on every local rank. Safe to call from any goroutine.
 func (g RankGroup) Abort() {
-	if a, ok := g.Comm.(interface{ Abort() }); ok {
-		a.Abort()
+	if g.Comm != nil {
+		g.Comm.Abort()
 	}
 }
 
@@ -112,14 +79,11 @@ func GroupIdentity(localRanks int) uint32 {
 
 // GroupFromRing wraps a connected inter-process ring as the rank group for
 // localRanks consecutive global ranks per process — the one constructor
-// behind every multi-process shape. One local rank gets the flat
-// single-rank TCP backend; several get the hierarchical communicator,
-// whose results are bit-identical to the flat ring of the same total size.
+// behind every multi-process shape. Its results are bit-identical to a
+// ring-less group of the same total size.
 func GroupFromRing(ring *transport.Ring, localRanks int) RankGroup {
-	if localRanks == 1 {
-		return RankGroup{Comm: NewTCPComm(ring), Offset: ring.Rank()}
-	}
-	return RankGroup{Comm: NewHierComm(ring, localRanks), Offset: ring.Rank() * localRanks}
+	h := newHierComm(ring, localRanks)
+	return RankGroup{Comm: h, Offset: h.offset}
 }
 
 // ConnectGroup is the one-call setup for one process of a

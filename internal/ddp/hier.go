@@ -9,16 +9,27 @@ import (
 	"melissa/internal/transport"
 )
 
-// HierComm is the hierarchical Communicator backend: one process hosts
-// several consecutive global ranks (goroutines), and processes are joined
-// by a single inter-process TCP ring (transport.Ring). It runs the literal
-// flat-ring scatter-reduce/all-gather over all procs×local virtual ranks —
-// same chunking, same accumulation order — so its collective results are
-// bit-identical to a flat ring (ChanComm or one-rank-per-process TCPComm)
-// of the same total size. The hierarchy is purely physical: hops between
-// local ranks are channel links, and only the leader hop (local rank
-// local−1 → the next process's local rank 0) crosses the network, so a
-// host running M ranks needs one ring connection pair instead of M.
+// compressMinFloats is the smallest collective (total elements) that rides
+// the compressed wire format on a compressed ring. Tiny collectives — the
+// trainer's 2-float status reduction — are latency-bound, save nothing
+// from half-width frames, and often carry counts whose exactness matters,
+// so they stay full-width float32. The threshold is a pure function of the
+// collective's total length, which every rank knows identically, so
+// senders and receivers always agree on the frame type.
+const compressMinFloats = 16
+
+// HierComm is the Communicator: one process hosts several consecutive
+// global ranks (goroutines), and processes are joined by a single
+// inter-process TCP ring (transport.Ring), or by none for a ring-less
+// in-process group. It runs the literal flat-ring scatter-reduce/all-gather
+// over all procs×local ranks — same chunking, same accumulation order — so
+// its collective results depend only on the total rank count, never on
+// how ranks are packed into processes. Hops between local ranks are
+// channel links, and only the leader hop (local rank local−1 → the next
+// process's local rank 0) crosses the network, so a host running M ranks
+// needs one ring connection pair instead of M. With a single process (a
+// nil or size-1 ring) the last channel link wraps around in place of the
+// network hop.
 //
 // Failure model: a ring link failure (or Abort) poisons the whole
 // communicator. The first error is recorded and the down channel closed,
@@ -26,9 +37,11 @@ import (
 // without it, only the boundary ranks would observe the network fault and
 // the middle ranks would block forever. After any non-nil error the
 // communicator must be closed, never reused (see the package failure
-// model).
+// model). Steady-state collectives are allocation-free: channel hops and
+// ring frames reuse recycled buffers, and the success path returns a nil
+// error.
 type HierComm struct {
-	ring   *transport.Ring
+	ring   *transport.Ring // nil for a ring-less in-process group
 	codec  transport.Codec
 	procs  int // ring size (1 means no network hop: the ring closes locally)
 	local  int // ranks hosted in this process
@@ -41,27 +54,99 @@ type HierComm struct {
 	links []link
 
 	// res[l] is local rank l's error-feedback residual slab for compressed
-	// range collectives (see TCPComm.res); each slab is touched only by
-	// its rank's goroutine.
+	// range collectives (CodecF16): res[l][i] carries the quantization
+	// error of slab offset i from the previous step into the next one.
+	// Range collectives index it by their absolute [lo,hi) offsets, which
+	// is why AllReduceSumRange — whose caller contract is "ranges into one
+	// persistent slab" — is the error-fed entry point, while plain
+	// AllReduceSum (arbitrary transient buffers) compresses without
+	// residuals. Each slab is touched only by its rank's goroutine.
 	res [][]float32
 
-	down     chan struct{}         // closed on first failure; unwedges channel hops
+	down     chan struct{} // closed on first failure; unwedges channel hops
 	failOnce sync.Once
 	firstErr atomic.Pointer[error]
 }
 
 var _ Communicator = (*HierComm)(nil)
-var _ RankSpan = (*HierComm)(nil)
-var _ WireCompression = (*HierComm)(nil)
 
-// WireCodec implements WireCompression: the ring's negotiated wire codec.
-// Channel hops between co-hosted ranks always carry exact float32; the codec
-// applies only to the leader hop that crosses the network.
+// NewCommunicator creates a ring-less group of n in-process ranks: every
+// hop is a channel link, the codec is exact float32, and no bytes cross a
+// network.
+func NewCommunicator(n int) *HierComm {
+	if n <= 0 {
+		panic(fmt.Sprintf("ddp: invalid communicator size %d", n))
+	}
+	return newHierComm(nil, n)
+}
+
+// newHierComm wraps a connected inter-process ring (nil for none) as the
+// communicator for localRanks consecutive global ranks hosted in this
+// process. The global group has ring.Size()·localRanks ranks; this process
+// serves [ring.Rank()·localRanks, (ring.Rank()+1)·localRanks).
+func newHierComm(ring *transport.Ring, localRanks int) *HierComm {
+	if localRanks <= 0 {
+		panic(fmt.Sprintf("ddp: invalid local rank count %d", localRanks))
+	}
+	h := &HierComm{
+		ring:  ring,
+		codec: transport.CodecF32,
+		procs: 1,
+		local: localRanks,
+		size:  localRanks,
+		links: make([]link, localRanks),
+		res:   make([][]float32, localRanks),
+		down:  make(chan struct{}),
+	}
+	if ring != nil {
+		h.codec = ring.Codec()
+		h.procs = ring.Size()
+		h.offset = ring.Rank() * localRanks
+		h.size = h.procs * localRanks
+	}
+	for i := range h.links {
+		h.links[i] = newLink()
+	}
+	return h
+}
+
+// Size implements Communicator: the total rank count across all processes.
+func (h *HierComm) Size() int { return h.size }
+
+// WireCodec returns the ring's negotiated wire codec (CodecF32 for a
+// ring-less group). Channel hops between co-hosted ranks always carry
+// exact float32; the codec applies only to the leader hop that crosses the
+// network.
 func (h *HierComm) WireCodec() transport.Codec { return h.codec }
 
-// WireBytes implements WireCompression: bytes moved over the inter-process
-// ring (channel hops are free and uncounted).
-func (h *HierComm) WireBytes() (sent, recv uint64) { return h.ring.WireBytes() }
+// WireBytes returns the cumulative bytes moved over the inter-process
+// ring (channel hops are free and uncounted; a ring-less group reports
+// zero).
+func (h *HierComm) WireBytes() (sent, recv uint64) {
+	if h.ring == nil {
+		return 0, 0
+	}
+	return h.ring.WireBytes()
+}
+
+// Close tears the inter-process ring down, if there is one. It must not
+// race in-flight collectives; call Abort first to interrupt them.
+func (h *HierComm) Close() error {
+	if h.ring == nil {
+		return nil
+	}
+	return h.ring.Close()
+}
+
+// Abort poisons the communicator and force-closes the ring connections:
+// every in-flight collective on every local rank fails with an error
+// wrapping transport.ErrRingAborted. Safe to call from any goroutine.
+func (h *HierComm) Abort() {
+	if h.ring != nil {
+		h.ring.Abort()
+	}
+	h.fail(fmt.Errorf("ddp: group aborted: %w", transport.ErrRingAborted))
+}
 
 // compressed reports whether a collective over total floats uses the f16
 // wire encoding on its network hops. Identical on every rank (the codec is
@@ -82,55 +167,6 @@ func (h *HierComm) residual(l, lo, hi int) []float32 {
 		h.res[l] = grown
 	}
 	return h.res[l][lo:hi]
-}
-
-// NewHierComm wraps a connected inter-process ring as the collective
-// backend for localRanks consecutive global ranks hosted in this process.
-// The global group has ring.Size()·localRanks ranks; this process serves
-// [ring.Rank()·localRanks, (ring.Rank()+1)·localRanks). ring may be a
-// size-1 ring, in which case every hop stays in-process.
-func NewHierComm(ring *transport.Ring, localRanks int) *HierComm {
-	if localRanks <= 0 {
-		panic(fmt.Sprintf("ddp: invalid local rank count %d", localRanks))
-	}
-	h := &HierComm{
-		ring:   ring,
-		codec:  ring.Codec(),
-		procs:  ring.Size(),
-		local:  localRanks,
-		offset: ring.Rank() * localRanks,
-		size:   ring.Size() * localRanks,
-		links:  make([]link, localRanks),
-		res:    make([][]float32, localRanks),
-		down:   make(chan struct{}),
-	}
-	for i := range h.links {
-		h.links[i] = newLink()
-	}
-	return h
-}
-
-// Size implements Communicator: the total rank count across all processes.
-func (h *HierComm) Size() int { return h.size }
-
-// RankOffset implements RankSpan: the first global rank this endpoint
-// serves.
-func (h *HierComm) RankOffset() int { return h.offset }
-
-// LocalRanks implements RankSpan: the number of consecutive global ranks
-// this endpoint serves.
-func (h *HierComm) LocalRanks() int { return h.local }
-
-// Close tears the inter-process ring down. It must not race in-flight
-// collectives; call Abort first to interrupt them.
-func (h *HierComm) Close() error { return h.ring.Close() }
-
-// Abort poisons the communicator and force-closes the ring connections:
-// every in-flight collective on every local rank fails with an error
-// wrapping transport.ErrRingAborted. Safe to call from any goroutine.
-func (h *HierComm) Abort() {
-	h.ring.Abort()
-	h.fail(fmt.Errorf("ddp: hierarchical group aborted: %w", transport.ErrRingAborted))
 }
 
 // localOf validates that rank is hosted by this endpoint and returns its
@@ -238,42 +274,21 @@ func (h *HierComm) recvHop(l int, dst []float32, accumulate, comp bool) error {
 	return nil
 }
 
-// sendTokenHop forwards a zero-length barrier token to the successor.
-func (h *HierComm) sendTokenHop(l int) error {
-	if l == h.local-1 && h.procs > 1 {
-		if err := h.ring.SendToken(); err != nil {
-			return h.fail(err)
-		}
-		return nil
-	}
-	return h.sendHop(l, nil, false)
-}
-
-// recvTokenHop consumes a barrier token from the predecessor.
-func (h *HierComm) recvTokenHop(l int) error {
-	if l == 0 && h.procs > 1 {
-		if err := h.ring.RecvToken(); err != nil {
-			return h.fail(err)
-		}
-		return nil
-	}
-	return h.recvHop(l, nil, false, false)
-}
-
-// AllReduceSum implements Communicator: the flat ring scatter-reduce and
-// all-gather of ChanComm.AllReduceSum over the hybrid hop topology. Every
-// hosted rank must enter concurrently (each from its own goroutine, with
-// its own buffer), exactly like ranks of a ChanComm group. On a compressed
-// ring the network hops travel as binary16 (without error feedback — see
-// AllReduceSumRange for the error-fed gradient path).
+// AllReduceSum implements Communicator: the ring scatter-reduce and
+// all-gather over the hybrid hop topology. Every hosted rank must enter
+// concurrently (each from its own goroutine, with its own buffer). On a
+// compressed ring the network hops travel as binary16 (without error
+// feedback — see AllReduceSumRange for the error-fed gradient path).
 func (h *HierComm) AllReduceSum(rank int, buf []float32) error {
 	return h.allReduce(rank, buf, nil)
 }
 
-// AllReduceSumRange implements Communicator. On a CodecF16 ring this is
-// the error-fed path: the range offsets index a persistent per-local-rank
-// residual slab (the caller contract — one stable slab per rank, e.g. the
-// flat gradient slab — is what makes residuals meaningful across steps).
+// AllReduceSumRange implements Communicator: an independent ring reduction
+// over buf[lo:hi], chunked relative to the range. On a CodecF16 ring this
+// is the error-fed path: the range offsets index a persistent
+// per-local-rank residual slab (the caller contract — one stable slab per
+// rank, e.g. the flat gradient slab — is what makes residuals meaningful
+// across steps).
 func (h *HierComm) AllReduceSumRange(rank int, buf []float32, lo, hi int) error {
 	sub := buf[lo:hi]
 	var res []float32
@@ -285,10 +300,14 @@ func (h *HierComm) AllReduceSumRange(rank int, buf []float32, lo, hi int) error 
 
 // allReduce runs the ring sum over the hybrid topology. res, when non-nil,
 // is this rank's error-feedback residual aliasing buf's span; it implies a
-// compressed ring. As in TCPComm.allReduce, a compressed run quantizes the
-// finished owner chunk in place before the all-gather so every rank ends
-// with bit-identical results regardless of how many network hops each
-// chunk crossed (re-encoding an already-quantized chunk is lossless).
+// compressed ring.
+//
+// Compressed mode keeps all arithmetic in float32: network chunks are
+// quantized per hop, receivers expand and accumulate at full width. After
+// scatter-reduce, each rank re-quantizes the one chunk it finished in
+// place before gathering — binary16 values re-encode losslessly, so every
+// rank ends with bit-identical results regardless of how many network hops
+// each chunk crossed.
 func (h *HierComm) allReduce(rank int, buf []float32, res []float32) error {
 	l := h.localOf(rank)
 	if err := h.poisoned(); err != nil {
@@ -300,6 +319,8 @@ func (h *HierComm) allReduce(rank int, buf []float32, res []float32) error {
 	}
 	comp := h.compressed(len(buf))
 	if comp && res != nil {
+		// Error-feedback pre-pass: quantize local contribution + carried
+		// residual, store the fresh quantization error back (fused kernel).
 		protocol.QuantizeEF(buf, res)
 	}
 	chunk := func(i int) []float32 {
@@ -308,6 +329,8 @@ func (h *HierComm) allReduce(rank int, buf []float32, res []float32) error {
 	}
 	// Scatter-reduce: after step s, rank r has accumulated s+1 terms into
 	// chunk (r-s); after n-1 steps chunk (r+1) holds the complete sum.
+	// Sends are staged copies, so mutating the next chunk while the
+	// previous message is still in flight is safe.
 	for s := 0; s < n-1; s++ {
 		if err := h.sendHop(l, chunk(rank-s), comp); err != nil {
 			return err
@@ -326,93 +349,6 @@ func (h *HierComm) allReduce(rank int, buf []float32, res []float32) error {
 		}
 		if err := h.recvHop(l, chunk(rank-s), false, comp); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// AllReduceMean implements Communicator.
-func (h *HierComm) AllReduceMean(rank int, buf []float32) error {
-	if err := h.AllReduceSum(rank, buf); err != nil {
-		return err
-	}
-	if h.size > 1 {
-		inv := 1 / float32(h.size)
-		for i := range buf {
-			buf[i] *= inv
-		}
-	}
-	return nil
-}
-
-// Broadcast implements Communicator: the root's buffer travels around the
-// virtual ring, each rank copying and forwarding, followed by a barrier so
-// the call is collective like the other backends'. Broadcast always ships
-// exact float32 regardless of the ring codec — it carries model weights,
-// where lossy compression would skew every replica identically but
-// permanently. Large buffers stream in broadcastChunkFloats pieces so a
-// full model does not need a second buffer-sized staging copy per hop.
-func (h *HierComm) Broadcast(rank, root int, buf []float32) error {
-	l := h.localOf(rank)
-	if err := h.poisoned(); err != nil {
-		return err
-	}
-	n := h.size
-	if n == 1 {
-		return nil
-	}
-	for lo := 0; ; lo += broadcastChunkFloats {
-		hi := min(lo+broadcastChunkFloats, len(buf))
-		piece := buf[lo:hi]
-		if rank == root {
-			if err := h.sendHop(l, piece, false); err != nil {
-				return err
-			}
-		} else {
-			if err := h.recvHop(l, piece, false, false); err != nil {
-				return err
-			}
-			if (rank+1)%n != root {
-				if err := h.sendHop(l, piece, false); err != nil {
-					return err
-				}
-			}
-		}
-		if hi == len(buf) {
-			break
-		}
-	}
-	return h.Barrier(rank)
-}
-
-// Barrier implements Communicator: the two-round ring token of
-// TCPComm.Barrier over the hybrid topology. Global rank 0 initiates; the
-// first round proves every rank entered, the second releases them.
-func (h *HierComm) Barrier(rank int) error {
-	l := h.localOf(rank)
-	if err := h.poisoned(); err != nil {
-		return err
-	}
-	if h.size == 1 {
-		return nil
-	}
-	if rank == 0 {
-		for round := 0; round < 2; round++ {
-			if err := h.sendTokenHop(l); err != nil {
-				return err
-			}
-			if err := h.recvTokenHop(l); err != nil {
-				return err
-			}
-		}
-	} else {
-		for round := 0; round < 2; round++ {
-			if err := h.recvTokenHop(l); err != nil {
-				return err
-			}
-			if err := h.sendTokenHop(l); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

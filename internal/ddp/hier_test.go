@@ -1,255 +1,49 @@
 package ddp
 
-// Tests for the hierarchical communicator: correctness across process/
-// local-rank shapes, bit-identity with the flat ring backends (the property
-// server.Config relies on when -local-ranks changes the physical topology
-// without changing the training trajectory), and the leader-hop benchmark.
+// Tests for the hierarchical shapes beyond the shape matrix — size-1 rings,
+// where every hop stays on channel links although a ring exists, and wider
+// process × local-rank packings — plus the leader-hop benchmark.
 
 import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"melissa/internal/transport"
 )
 
-// newHierGroup wires procs HierComm endpoints over a loopback ring, each
-// hosting local consecutive global ranks, and expands them into the
-// per-rank commGroup shape the shared helpers expect.
-func newHierGroup(tb testing.TB, procs, local int) commGroup {
-	return newHierGroupCodec(tb, procs, local, transport.CodecF32)
-}
-
-// newHierGroupCodec is newHierGroup with an explicit wire codec for the
-// inter-process ring (channel hops are always exact).
-func newHierGroupCodec(tb testing.TB, procs, local int, codec transport.Codec) commGroup {
-	tb.Helper()
-	listeners := make([]*transport.RingListener, procs)
-	addrs := make([]string, procs)
-	for p := range listeners {
-		l, err := transport.ListenRing("127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		listeners[p] = l
-		addrs[p] = l.Addr()
-	}
-	comms := make([]*HierComm, procs)
-	errs := make([]error, procs)
-	var wg sync.WaitGroup
-	for p := range comms {
-		wg.Add(1)
-		go func(proc int) {
-			defer wg.Done()
-			ring, err := listeners[proc].ConnectContext(tb.Context(), proc, addrs, 10*time.Second,
-				transport.RingOptions{Identity: GroupIdentity(local), Codec: codec})
-			if err != nil {
-				errs[proc] = err
-				return
-			}
-			comms[proc] = NewHierComm(ring, local)
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			tb.Fatal(err)
-		}
-	}
-	tb.Cleanup(func() {
-		for _, c := range comms {
-			c.Close()
-		}
-	})
-	g := make(commGroup, procs*local)
-	for p, c := range comms {
-		for l := 0; l < local; l++ {
-			g[p*local+l] = c
-		}
-	}
-	return g
-}
-
-// TestHierCollectives runs the core collective checks across process ×
-// local-rank shapes, including the degenerate single-process ring (where
-// every hop stays on channel links).
+// TestHierCollectives runs the all-reduce checks — against the ring-less
+// reference of the same size — across process × local-rank shapes,
+// including the degenerate single-process ring.
 func TestHierCollectives(t *testing.T) {
 	for _, shape := range []struct{ procs, local int }{
 		{1, 1}, {1, 3}, {2, 1}, {2, 2}, {3, 2}, {4, 2},
 	} {
 		t.Run(fmt.Sprintf("procs=%d/local=%d", shape.procs, shape.local), func(t *testing.T) {
-			g := newHierGroup(t, shape.procs, shape.local)
-			n := shape.procs * shape.local
-
-			// Length 7 exercises uneven (and, for n>7, empty) chunks.
-			bufs, want := fillRankBufs(n, 7, 42)
-			runGroup(g, func(rank int, c Communicator) { c.AllReduceSum(rank, bufs[rank]) })
-			for r := 0; r < n; r++ {
-				for i := range want {
-					if bufs[r][i] != bufs[0][i] {
-						t.Fatalf("rank %d differs from rank 0 at %d", r, i)
-					}
-					if d := float64(bufs[0][i]) - want[i]; d > 1e-4 || d < -1e-4 {
-						t.Fatalf("elem %d: got %v, want %v", i, bufs[0][i], want[i])
-					}
-				}
-			}
-
-			// Broadcast from a mid-group root.
-			root := (n - 1) / 2
-			bbufs := make([][]float32, n)
-			for r := range bbufs {
-				bbufs[r] = []float32{float32(r), float32(r)}
-			}
-			runGroup(g, func(rank int, c Communicator) { c.Broadcast(rank, root, bbufs[rank]) })
-			for r := 0; r < n; r++ {
-				if bbufs[r][0] != float32(root) || bbufs[r][1] != float32(root) {
-					t.Fatalf("rank %d: %v, want root %d", r, bbufs[r], root)
-				}
-			}
-
-			// Barrier: no rank may pass before all enter.
-			var mu sync.Mutex
-			entered := 0
-			fail := false
-			runGroup(g, func(rank int, c Communicator) {
-				mu.Lock()
-				entered++
-				mu.Unlock()
-				c.Barrier(rank)
-				mu.Lock()
-				if entered != n {
-					fail = true
-				}
-				mu.Unlock()
-				c.Barrier(rank) // reusable
-			})
-			if fail {
-				t.Fatal("barrier released before all ranks arrived")
-			}
-
-			// RankSpan: each endpoint serves its process's contiguous span.
-			for p := 0; p < shape.procs; p++ {
-				h := g[p*shape.local].(*HierComm)
-				if h.RankOffset() != p*shape.local || h.LocalRanks() != shape.local {
-					t.Fatalf("proc %d span [%d,+%d), want [%d,+%d)",
-						p, h.RankOffset(), h.LocalRanks(), p*shape.local, shape.local)
-				}
-			}
+			// newRingGroup checks each endpoint's rank span; length 7
+			// exercises uneven (and, for n>7, empty) chunks.
+			g := newRingGroup(t, shape.procs, shape.local, transport.CodecF32)
+			checkCollective(t, g, 7, 0, 7, allReduceSum)
 		})
 	}
 }
 
-// TestHierBitIdenticalToFlat pins the property the unified server runtime
-// is built on: a hierarchical group computes exactly the same floats as the
-// flat channel ring AND the flat one-rank-per-process TCP ring of the same
-// total size, for every procs × local shape. Changing how ranks are packed
-// into processes must never perturb a training trajectory.
-func TestHierBitIdenticalToFlat(t *testing.T) {
-	const length = 1000
-	for _, procs := range []int{2, 4} {
-		for _, local := range []int{1, 2} {
-			t.Run(fmt.Sprintf("procs=%d/local=%d", procs, local), func(t *testing.T) {
-				n := procs * local
-				hierBufs, _ := fillRankBufs(n, length, 7)
-				chanBufs, _ := fillRankBufs(n, length, 7)
-				tcpBufs, _ := fillRankBufs(n, length, 7)
-
-				hierGroup := newHierGroup(t, procs, local)
-				chanGroup := backendFactories["chan"](t, n)
-				tcpGroup := newTCPGroup(t, n)
-				runGroup(hierGroup, func(rank int, c Communicator) { c.AllReduceMean(rank, hierBufs[rank]) })
-				runGroup(chanGroup, func(rank int, c Communicator) { c.AllReduceMean(rank, chanBufs[rank]) })
-				runGroup(tcpGroup, func(rank int, c Communicator) { c.AllReduceMean(rank, tcpBufs[rank]) })
-				for r := 0; r < n; r++ {
-					for i := 0; i < length; i++ {
-						if hierBufs[r][i] != chanBufs[r][i] {
-							t.Fatalf("rank %d elem %d: hier %v vs chan %v", r, i, hierBufs[r][i], chanBufs[r][i])
-						}
-						if hierBufs[r][i] != tcpBufs[r][i] {
-							t.Fatalf("rank %d elem %d: hier %v vs tcp %v", r, i, hierBufs[r][i], tcpBufs[r][i])
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestGroupFromRingShapes checks the one constructor behind every
-// multi-process topology: one local rank gets the flat TCP backend, several
-// get the hierarchical one, and the offsets land each process's span at
-// ring-rank × localRanks.
-func TestGroupFromRingShapes(t *testing.T) {
-	g := newHierGroup(t, 2, 1) // builds HierComm even for local=1; fine for span checks
-	if g[0].(*HierComm).Size() != 2 {
-		t.Fatalf("size %d, want 2", g[0].(*HierComm).Size())
-	}
-	// GroupFromRing's backend choice is checked directly over a fresh ring.
-	l0, err := transport.ListenRing("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1, err := transport.ListenRing("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := []string{l0.Addr(), l1.Addr()}
-	rings := make([]*transport.Ring, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for p, l := range []*transport.RingListener{l0, l1} {
-		wg.Add(1)
-		go func(proc int, l *transport.RingListener) {
-			defer wg.Done()
-			rings[proc], errs[proc] = l.Connect(proc, addrs, 10*time.Second)
-		}(p, l)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer rings[0].Close()
-	defer rings[1].Close()
-
-	flat := GroupFromRing(rings[0], 1)
-	if _, ok := flat.Comm.(*TCPComm); !ok {
-		t.Fatalf("localRanks=1 built %T, want *TCPComm", flat.Comm)
-	}
-	if flat.Offset != 0 {
-		t.Fatalf("proc 0 offset %d, want 0", flat.Offset)
-	}
-	hier := GroupFromRing(rings[1], 3)
-	h, ok := hier.Comm.(*HierComm)
-	if !ok {
-		t.Fatalf("localRanks=3 built %T, want *HierComm", hier.Comm)
-	}
-	if hier.Offset != 3 || h.Size() != 6 {
-		t.Fatalf("proc 1 offset %d size %d, want 3 and 6", hier.Offset, h.Size())
-	}
-}
-
 // BenchmarkAllReduceHier measures the hierarchical all-reduce on the same
-// 64k-element buffer as BenchmarkAllReduce (channel) and
-// BenchmarkAllReduceTCP (flat 4-rank loopback ring), under each wire codec.
-// procs=4/local=1 is the flat-equivalent shape (no regression expected vs
-// TCP); procs=2/local=2 has the same total rank count with half the network
-// hops per step.
+// 64k-element buffer as BenchmarkAllReduce (ring-less) and
+// BenchmarkAllReduceTCP (4 processes × 1 rank), under each wire codec.
+// procs=2/local=2 has BenchmarkAllReduceTCP's total rank count with half
+// the network hops per step.
 func BenchmarkAllReduceHier(b *testing.B) {
 	const elems = 1 << 16
 	for _, shape := range []struct {
 		procs, local int
 		codec        transport.Codec
 	}{
-		{4, 1, transport.CodecF32}, {2, 2, transport.CodecF32}, {2, 4, transport.CodecF32},
-		{4, 1, transport.CodecF16}, {2, 2, transport.CodecF16},
+		{2, 2, transport.CodecF32}, {2, 4, transport.CodecF32}, {2, 2, transport.CodecF16},
 	} {
 		b.Run(fmt.Sprintf("procs=%d/local=%d/%s", shape.procs, shape.local, shape.codec), func(b *testing.B) {
 			n := shape.procs * shape.local
-			g := newHierGroupCodec(b, shape.procs, shape.local, shape.codec)
+			g := newRingGroup(b, shape.procs, shape.local, shape.codec)
 			bufs := make([][]float32, n)
 			for r := range bufs {
 				bufs[r] = make([]float32, elems)

@@ -3,6 +3,8 @@ package ddp
 import (
 	"sync"
 	"testing"
+
+	"melissa/internal/transport"
 )
 
 // spawnPeers launches ranks 1..n-1 running iters lockstep collective calls
@@ -45,54 +47,48 @@ func TestAllReduceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBroadcastZeroAlloc is the same regression gate for Broadcast.
-func TestBroadcastZeroAlloc(t *testing.T) {
-	const n = 4
-	const runs = 100
-	c := NewCommunicator(n)
-	bufs := make([][]float32, n)
-	for r := range bufs {
-		bufs[r] = make([]float32, 1<<10)
-	}
-	wg := spawnPeers(n, runs+1, func(rank int) { c.Broadcast(rank, 0, bufs[rank]) })
-	avg := testing.AllocsPerRun(runs, func() { c.Broadcast(0, 0, bufs[0]) })
-	wg.Wait()
-	if avg != 0 {
-		t.Fatalf("Broadcast: %v allocs per call in steady state, want 0", avg)
-	}
-}
-
 // TestAllReduceSumRangeZeroAlloc pins the steady-state allocation
 // behaviour of the bucketed range collectives: once the recycled link
-// buffers are sized, a fixed sequence of AllReduceSumRange calls (the
-// per-layer gradient buckets of the overlap path) must not allocate.
+// buffers and ring frames are sized, a fixed sequence of AllReduceSumRange
+// calls (the per-layer gradient buckets of the overlap path) must not
+// allocate — on a ring-less group and on a TCP ring with one rank per
+// process, where every hop is a network frame.
 func TestAllReduceSumRangeZeroAlloc(t *testing.T) {
 	const n = 4
 	const runs = 100
-	c := NewCommunicator(n)
-	bufs := make([][]float32, n)
-	for r := range bufs {
-		bufs[r] = make([]float32, 1<<12)
-	}
-	// Two buckets of different sizes, issued in the same order by every
-	// rank — the shape of a two-layer network's overlap sync.
-	buckets := [][2]int{{0, 3000}, {3000, 1 << 12}}
-	syncBuckets := func(rank int) {
-		for _, bk := range buckets {
-			c.AllReduceSumRange(rank, bufs[rank], bk[0], bk[1])
-		}
-	}
-	wg := spawnPeers(n, runs+1, syncBuckets)
-	avg := testing.AllocsPerRun(runs, func() { syncBuckets(0) })
-	wg.Wait()
-	if avg != 0 {
-		t.Fatalf("AllReduceSumRange: %v allocs per bucket sweep in steady state, want 0", avg)
+	for name, g := range map[string]commGroup{
+		"ringless": newRinglessGroup(n),
+		"tcp":      newRingGroup(t, n, 1, transport.CodecF32),
+	} {
+		t.Run(name, func(t *testing.T) {
+			bufs := make([][]float32, n)
+			for r := range bufs {
+				bufs[r] = make([]float32, 1<<12)
+			}
+			// Two buckets of different sizes, issued in the same order by
+			// every rank — the shape of a two-layer network's overlap sync.
+			buckets := [][2]int{{0, 3000}, {3000, 1 << 12}}
+			syncBuckets := func(rank int) {
+				for _, bk := range buckets {
+					if err := g[rank].AllReduceSumRange(rank, bufs[rank], bk[0], bk[1]); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			wg := spawnPeers(n, runs+1, syncBuckets)
+			avg := testing.AllocsPerRun(runs, func() { syncBuckets(0) })
+			wg.Wait()
+			if avg != 0 {
+				t.Fatalf("AllReduceSumRange: %v allocs per bucket sweep in steady state, want 0", avg)
+			}
+		})
 	}
 }
 
 // BenchmarkAllReduceRange measures the bucketed collective sweep the
 // overlap path issues per step (two layer buckets over a 64k slab),
-// against BenchmarkAllReduce's single full-slab collective.
+// against BenchmarkAllReduce's single full-slab collective, on a ring-less
+// group.
 func BenchmarkAllReduceRange(b *testing.B) {
 	const n = 4
 	const elems = 1 << 16

@@ -6,8 +6,8 @@ package elastic_test
 // asserts the recovery contract: the group re-forms over the survivors at
 // a new epoch, rolls back to the last committed group checkpoint, and
 // finishes with final weights bit-identical to an unfaulted reference run
-// of the same effective schedule (built piecewise from in-process ChanComm
-// trainers, which are pinned bit-identical to the TCP backend).
+// of the same effective schedule (built piecewise from ring-less in-process
+// trainers, which are pinned bit-identical to TCP rank groups).
 
 import (
 	"context"
@@ -93,7 +93,7 @@ type refPoint struct {
 }
 
 // runPhase runs the in-process reference trainer for one membership
-// stretch — members' ranks in ascending-ID order over the channel backend,
+// stretch — members' ranks in ascending-ID order over a ring-less group,
 // exactly the collective group an elastic epoch forms over TCP — from an
 // optional start point to maxBatches, and captures the end point.
 func runPhase(t *testing.T, members []int, start *refPoint, bufSrc map[int]*bufSnap, maxBatches int) *refPoint {

@@ -388,14 +388,11 @@ func (s *Session) World() int { return len(s.members) }
 // Members returns the member IDs in ring-rank order.
 func (s *Session) Members() []int { return s.members }
 
-// Comm returns the epoch's communicator. It is poisoned the moment the
-// epoch is torn down; collectives then return errors wrapping
-// transport.ErrRingAborted.
-func (s *Session) Comm() ddp.Communicator { return s.group.Comm }
-
 // Group returns the epoch's rank group: the communicator plus this
 // member's global rank offset (ring rank · LocalRanks). It is the handle
-// trainer and server configs take.
+// trainer and server configs take. The communicator is poisoned the moment
+// the epoch is torn down; collectives then return errors wrapping
+// transport.ErrRingAborted.
 func (s *Session) Group() ddp.RankGroup { return s.group }
 
 // RestoreBatch returns the batch boundary to restore from (the committed

@@ -66,9 +66,10 @@ const (
 	// dedicated inter-rank ring connections, never through the client
 	// message decoder: RingHello carries the sender's rank during ring
 	// setup, RingFloats a raw little-endian float32 chunk of a collective,
-	// RingToken a zero-payload barrier token, and RingPing a zero-payload
-	// link heartbeat that receivers silently discard (it exists so a rank
-	// can tell a dead predecessor from a merely idle one).
+	// and RingPing a zero-payload link heartbeat that receivers silently
+	// discard (it exists so a rank can tell a dead predecessor from a
+	// merely idle one). RingToken once carried barrier tokens; nothing
+	// sends it now, and it keeps its value so later types do not renumber.
 	TypeRingHello
 	TypeRingFloats
 	TypeRingToken

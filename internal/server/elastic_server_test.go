@@ -6,7 +6,7 @@ package server
 // The survivors must re-form, roll ingestion and replica state back to the
 // last committed group checkpoint, keep their client connections, and
 // finish with weights bit-identical to a piecewise reference built from
-// in-process ChanComm trainers over the same per-rank sample streams.
+// ring-less in-process trainers over the same per-rank sample streams.
 //
 // Determinism: simulations stream one at a time with an ingestion barrier
 // between them (each sim's frames are fully ingested before the next
@@ -86,7 +86,7 @@ type chaosRef struct {
 }
 
 // chaosPhase runs the reference trainer for one membership stretch — the
-// given global ranks over the channel backend, which is pinned
+// given global ranks over a ring-less in-process group, which is pinned
 // bit-identical to the per-epoch TCP groups the elastic members form —
 // from an optional start point to maxBatches.
 func chaosPhase(t *testing.T, ranks []int, streams *[csMembers][]buffer.Sample, start *chaosRef, maxBatches int) *chaosRef {
@@ -179,7 +179,7 @@ func waitIngested(t *testing.T, srv *Server, want int, killed <-chan struct{}) {
 // checkpoint), and the survivors must re-form at a higher epoch, roll back
 // to batch 4 with their ingest state intact, keep serving the reconnecting
 // clients (including ones launched after the death, which dial the
-// survivors only), finish the schedule, and match the piecewise ChanComm
+// survivors only), finish the schedule, and match the piecewise ring-less
 // reference bit for bit.
 func TestElasticServerChaosKillReform(t *testing.T) {
 	dir := t.TempDir()

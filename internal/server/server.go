@@ -40,7 +40,7 @@ type Config struct {
 
 	// Group places this process's ranks in a multi-process training group
 	// (e.g. ddp.GroupFromRing over a rank ring connecting several server
-	// processes). The zero value trains with the in-process channel ring
+	// processes). The zero value trains with a ring-less in-process group
 	// over Ranks. With a group communicator, Ranks counts only this
 	// process's local ranks and the group offset places them in the global
 	// rank space; the round-robin data distribution and the reception
@@ -150,6 +150,11 @@ type Server struct {
 	aggs []*rankAgg
 
 	aggWG sync.WaitGroup
+
+	// runDone is the Done channel of the context Run was called with. Once
+	// it is closed, reception that ends stays ended: the trainer's cancel
+	// path ended it for good.
+	runDone <-chan struct{}
 }
 
 // rankAgg is one rank's aggregator state shard.
@@ -442,6 +447,7 @@ func (s *Server) Metrics() *core.Metrics {
 // training error, if any. In elastic mode it instead participates in the
 // training group until the group completes or this member is lost.
 func (s *Server) Run(ctx context.Context) error {
+	s.runDone = ctx.Done()
 	if s.cfg.Elastic != nil {
 		return s.runElastic(ctx)
 	}
@@ -581,15 +587,23 @@ func (s *Server) ingestTimeStep(rank int, m *protocol.TimeStep) {
 		// is copied into arena rows under the buffer lock, so the lease
 		// can be recycled immediately after. A refused put means reception
 		// ended on the buffer — genuine only when the aggregator agreed
-		// (wasEnded; then the frame is a straggler and may drop). Otherwise
-		// the flag was set by an aborted elastic epoch's teardown and the
-		// frame, already marked received in the dedup state, would be lost
-		// forever: reopen and retry until stored.
+		// (wasEnded; then the frame is a straggler and may drop), or when
+		// Run's context is done (the trainer ended reception to stop; a
+		// reopened Reservoir would train forever). Otherwise the flag was
+		// set by an aborted elastic epoch's teardown and the frame, already
+		// marked received in the dedup state, would be lost forever: reopen
+		// and retry until stored.
 		for !s.bufs[rank].PutCopy(int(m.SimID), int(m.Step), m.Input, m.Field) {
-			if wasEnded {
+			if wasEnded || s.stopping() {
 				break
 			}
 			s.bufs[rank].ReopenReception()
+			if s.stopping() {
+				// Cancelled between the check and the reopen: the trainer's
+				// EndReception may have landed first, so end it again.
+				s.bufs[rank].EndReception()
+				break
+			}
 		}
 	}
 	// Duplicate (replay after client restart, §3.1) or stored: either way
@@ -597,6 +611,16 @@ func (s *Server) ingestTimeStep(rank int, m *protocol.TimeStep) {
 	protocol.RecycleTimeStep(m)
 	if done {
 		s.bufs[rank].EndReception()
+	}
+}
+
+// stopping reports whether Run's context is done.
+func (s *Server) stopping() bool {
+	select {
+	case <-s.runDone:
+		return true
+	default:
+		return false
 	}
 }
 

@@ -519,3 +519,43 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("expected error for unknown buffer kind")
 	}
 }
+
+// TestRunCancelWhileStreaming pins that cancelling Run ends training while
+// a client is still streaming. The trainer's cancel path ends reception on
+// the rank buffers; ingest must then drop late frames instead of reopening
+// reception, which would let the Reservoir buffer train forever. The
+// client's trajectory is long enough to outlast any run, so only the
+// cancellation can end this one.
+func TestRunCancelWhileStreaming(t *testing.T) {
+	cfg := testConfig(1, 1, buffer.ReservoirKind)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Trainer.OnBatchEnd = func(int) { cancel() }
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := runServer(t, srv, ctx)
+
+	clientCtx, stopClient := context.WithCancel(context.Background())
+	clientDone := make(chan struct{})
+	go func() {
+		defer close(clientDone)
+		sc := testSolverConfig()
+		sc.Steps = 1 << 30
+		client.RunHeat(clientCtx, client.HeatJob{
+			Client: client.Config{ClientID: 0, SimID: 0, ServerAddrs: srv.Addrs()},
+			Solver: sc,
+			Params: testParams(0),
+		})
+	}()
+	err = wait() // fails the test if Run has not returned within its guard
+	stopClient()
+	<-clientDone
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.Metrics().Batches() == 0 {
+		t.Fatal("no batch trained before the cancellation")
+	}
+}

@@ -63,14 +63,14 @@ type task struct {
 	shared []float32
 	k0, kc int
 	vals   []float32
-	grads     []float32
-	m, v      []float32
-	alpha     float32
-	beta1     float32
-	beta2     float32
-	eps       float32
-	i0, i1    int
-	wg        *sync.WaitGroup
+	grads  []float32
+	m, v   []float32
+	alpha  float32
+	beta1  float32
+	beta2  float32
+	eps    float32
+	i0, i1 int
+	wg     *sync.WaitGroup
 }
 
 // run executes the task's range.

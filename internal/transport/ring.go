@@ -1,11 +1,12 @@
 package transport
 
 // The rank ring: dedicated TCP connections between training ranks running
-// as separate processes, carrying gradient collectives (ddp.TCPComm). Every
-// rank listens on a pre-agreed address, dials its successor and accepts its
-// predecessor, forming the same directed ring the in-process channel
-// communicator uses. Frames reuse the protocol package's length framing
-// ([length u32 | type u8 | payload], little-endian).
+// as separate processes, carrying the leader hop of the gradient
+// collectives (ddp.HierComm). Every rank listens on a pre-agreed address,
+// dials its successor and accepts its predecessor, closing the same
+// directed ring the in-process channel hops form. Frames reuse the protocol
+// package's length framing ([length u32 | type u8 | payload],
+// little-endian).
 //
 // Sends are asynchronous: the caller's goroutine stages the frame into a
 // recycled buffer (so the caller's slab is never aliased after Send*
@@ -14,7 +15,7 @@ package transport
 // rank sends before it receives, so a blocking send of a chunk larger than
 // the socket buffers would wedge the whole ring. Two staging buffers
 // rotate through a free list, making steady-state collectives
-// allocation-free, exactly like the channel backend's recycled links.
+// allocation-free, exactly like the channel hops' recycled links.
 //
 // # Failure model
 //
@@ -612,23 +613,6 @@ func (r *Ring) RecvFloats16Add(dst []float32) error {
 		return fmt.Errorf("transport: ring rank %d: float16 frame %d bytes, want %d: %w", r.rank, len(payload), 2*len(dst), ErrLinkDead)
 	}
 	protocol.AddF16s(dst, payload)
-	return nil
-}
-
-// SendToken stages a zero-payload barrier token for the successor.
-func (r *Ring) SendToken() error {
-	return r.stage(protocol.TypeRingToken, 0, nil)
-}
-
-// RecvToken reads one barrier token from the predecessor.
-func (r *Ring) RecvToken() error {
-	typ, payload, err := r.readFrame()
-	if err != nil {
-		return err
-	}
-	if typ != protocol.TypeRingToken || len(payload) != 0 {
-		return fmt.Errorf("transport: ring rank %d: unexpected frame type %d, want token: %w", r.rank, typ, ErrLinkDead)
-	}
 	return nil
 }
 

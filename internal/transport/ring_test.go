@@ -79,10 +79,12 @@ func TestRingFrameRoundTrip(t *testing.T) {
 			t.Fatalf("float %d: got %v want %v", i, dst[i], v)
 		}
 	}
-	if err := r.RecvToken(); err != nil {
-		t.Fatal(err)
+	// TypeRingToken is reserved (no sender emits it): a float receive
+	// that meets one must fail the link, not misread it.
+	if err := r.RecvFloats(dst); !errors.Is(err, ErrLinkDead) {
+		t.Fatalf("token frame read as floats: got %v, want ErrLinkDead", err)
 	}
-	if err := r.RecvToken(); !errors.Is(err, ErrLinkDead) {
+	if err := r.RecvFloats(dst); !errors.Is(err, ErrLinkDead) {
 		t.Fatalf("EOF after stream end: got %v, want ErrLinkDead", err)
 	}
 }

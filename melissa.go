@@ -137,6 +137,10 @@ type Config struct {
 
 	// Seed drives every stochastic component (§3.1).
 	Seed uint64
+
+	// batchHook, when set, runs on global rank 0 after every synchronized
+	// training step of RunOnline; tests use it to act at a step boundary.
+	batchHook func(batches int)
 }
 
 // problem returns the configured problem, defaulting to the heat equation.
@@ -324,6 +328,7 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 				Validation:       valSet,
 				ValidateEvery:    cfg.ValidateEvery,
 				TrackOccurrences: true,
+				OnBatchEnd:       cfg.batchHook,
 			},
 			WatchdogTimeout: cfg.WatchdogTimeout,
 			CheckpointPath:  cfg.CheckpointPath,

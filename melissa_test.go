@@ -3,9 +3,9 @@ package melissa
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
-	"time"
 )
 
 func tinyConfig() Config {
@@ -193,13 +193,11 @@ func TestSolveGroundTruth(t *testing.T) {
 
 func TestRunOnlineContextCancel(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Simulations = 50 // long enough to cancel mid-run
+	cfg.Simulations = 50 // most of the ensemble is still to run at batch 1
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := RunOnline(ctx, cfg); err == nil {
-		t.Fatal("expected cancellation error")
+	defer cancel()
+	cfg.batchHook = func(int) { cancel() }
+	if _, err := RunOnline(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunOnline cancelled at the first batch: err %v, want context.Canceled", err)
 	}
 }
