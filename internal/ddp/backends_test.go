@@ -200,6 +200,17 @@ func TestCollectiveSuite(t *testing.T) {
 	}
 }
 
+// TestBackendsBitIdentical pins the trainer's gradient collective — a
+// full-range AllReduceSumRange — on 4 processes of one rank each, every hop
+// on the TCP ring, bit for bit to the ring-less group of 4 ranks.
+func TestBackendsBitIdentical(t *testing.T) {
+	const n, length = 4, 1000
+	g := newRingGroup(t, n, 1, transport.CodecF32)
+	checkCollective(t, g, length, 0, length, func(rank int, c *HierComm, buf []float32) error {
+		return c.AllReduceSumRange(rank, buf, 0, length)
+	})
+}
+
 // BenchmarkAllReduceTCP measures the all-reduce across 4 loopback-connected
 // processes hosting one rank each — HierComm with one local rank, so every
 // hop crosses the TCP ring — on the 64k-element buffer BenchmarkAllReduce

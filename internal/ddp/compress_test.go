@@ -14,14 +14,18 @@ import (
 	"melissa/internal/transport"
 )
 
-// compressGroups builds the shape matrix for a given codec: one rank per
-// process (every hop on the ring) and two ranks per process (channel hops
-// between them), over procs ∈ {2,4}.
+// compressGroups builds the shape matrix for a given codec over procs ∈
+// {2,4}: one rank per process (every hop on the ring) and one or two ranks
+// per process on the hierarchical naming (channel hops between co-located
+// ranks at local=2). tcp/procs=N and hier/procs=N/local=1 are separately
+// built groups of the same shape.
 func compressGroups(tb testing.TB, codec transport.Codec) map[string]commGroup {
 	groups := map[string]commGroup{}
 	for _, procs := range []int{2, 4} {
 		groups[fmt.Sprintf("tcp/procs=%d", procs)] = newRingGroup(tb, procs, 1, codec)
-		groups[fmt.Sprintf("hier/procs=%d/local=2", procs)] = newRingGroup(tb, procs, 2, codec)
+		for _, local := range []int{1, 2} {
+			groups[fmt.Sprintf("hier/procs=%d/local=%d", procs, local)] = newRingGroup(tb, procs, local, codec)
+		}
 	}
 	return groups
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"melissa/internal/transport"
 )
@@ -25,6 +26,74 @@ func TestHierCollectives(t *testing.T) {
 			g := newRingGroup(t, shape.procs, shape.local, transport.CodecF32)
 			checkCollective(t, g, 7, 0, 7, allReduceSum)
 		})
+	}
+}
+
+// TestHierBitIdenticalToFlat pins packing to the ring-less ("flat")
+// reference on a gradient-sized buffer: procs × local ranks, with and
+// without channel hops between co-located ranks, must all-reduce bit for
+// bit like a ring-less group of procs·local ranks.
+func TestHierBitIdenticalToFlat(t *testing.T) {
+	const length = 1000
+	for _, procs := range []int{2, 4} {
+		for _, local := range []int{1, 2} {
+			t.Run(fmt.Sprintf("procs=%d/local=%d", procs, local), func(t *testing.T) {
+				g := newRingGroup(t, procs, local, transport.CodecF32)
+				checkCollective(t, g, length, 0, length, allReduceSum)
+			})
+		}
+	}
+}
+
+// TestGroupFromRingShapes checks the one constructor behind every
+// multi-process topology: GroupFromRing sizes the group ring size ×
+// localRanks and lands each process's span at ring-rank × localRanks,
+// whatever the local rank count.
+func TestGroupFromRingShapes(t *testing.T) {
+	l0, err := transport.ListenRing("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1, err := transport.ListenRing("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{l0.Addr(), l1.Addr()}
+	rings := make([]*transport.Ring, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for p, l := range []*transport.RingListener{l0, l1} {
+		wg.Add(1)
+		go func(proc int, l *transport.RingListener) {
+			defer wg.Done()
+			rings[proc], errs[proc] = l.Connect(proc, addrs, 10*time.Second)
+		}(p, l)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer rings[0].Close()
+	defer rings[1].Close()
+
+	single := GroupFromRing(rings[0], 1)
+	if single.Offset != 0 || single.World() != 2 {
+		t.Fatalf("localRanks=1: offset %d world %d, want 0 and 2", single.Offset, single.World())
+	}
+	if err := single.Validate(1); err != nil {
+		t.Fatal(err)
+	}
+	multi := GroupFromRing(rings[1], 3)
+	if multi.Offset != 3 || multi.World() != 6 {
+		t.Fatalf("localRanks=3: offset %d world %d, want 3 and 6", multi.Offset, multi.World())
+	}
+	if err := multi.Validate(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := multi.Validate(1); err == nil {
+		t.Fatal("a 3-rank span validated for 1 local rank")
 	}
 }
 

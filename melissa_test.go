@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 func tinyConfig() Config {
@@ -37,6 +38,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Capacity = -5 },
 		func(c *Config) { c.Threshold = -1 },
 		func(c *Config) { c.Threshold = c.Capacity + 1 },
+		func(c *Config) { c.pace, c.Ranks = 1, 2 },
+		func(c *Config) { c.pace, c.Buffer = 1, FIFO },
 	}
 	for i, mutate := range bad {
 		cfg := tinyConfig()
@@ -48,8 +51,16 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestRunOnlineEndToEnd(t *testing.T) {
+	// A free-running tiny run trains anywhere from one pass over the data
+	// (12 batches) to hundreds, depending on how the scheduler interleaves
+	// solvers and trainer. Pacing guarantees the training volume the
+	// plausibility check below needs; the timeout only guards against a
+	// hang.
 	cfg := tinyConfig()
-	res, err := RunOnline(context.Background(), cfg)
+	cfg.pace = 3
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	res, err := RunOnline(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +73,9 @@ func TestRunOnlineEndToEnd(t *testing.T) {
 	}
 	if res.Samples < want || res.Batches == 0 {
 		t.Fatalf("samples %d batches %d", res.Samples, res.Batches)
+	}
+	if paced := cfg.pace * (want - cfg.Threshold - 1); res.Batches < paced {
+		t.Fatalf("paced run trained %d batches, want at least %d", res.Batches, paced)
 	}
 	if res.ValidationMSE <= 0 {
 		t.Fatal("no validation recorded")
