@@ -35,11 +35,12 @@ const compressMinFloats = 16
 // communicator. The first error is recorded and the down channel closed,
 // which unwedges local ranks blocked on channel hops mid-collective —
 // without it, only the boundary ranks would observe the network fault and
-// the middle ranks would block forever. After any non-nil error the
-// communicator must be closed, never reused (see the package failure
-// model). Steady-state collectives are allocation-free: channel hops and
-// ring frames reuse recycled buffers, and the success path returns a nil
-// error.
+// the middle ranks would block forever. A ring-less group has no network
+// hop to fail, so Abort fails its collectives at entry. After any non-nil
+// error the communicator must be closed, never reused (see the package
+// failure model). Steady-state collectives are allocation-free: channel
+// hops and ring frames reuse recycled buffers, and the success path
+// returns a nil error.
 type HierComm struct {
 	ring   *transport.Ring // nil for a ring-less in-process group
 	codec  transport.Codec
@@ -140,7 +141,8 @@ func (h *HierComm) Close() error {
 
 // Abort poisons the communicator and force-closes the ring connections:
 // every in-flight collective on every local rank fails with an error
-// wrapping transport.ErrRingAborted. Safe to call from any goroutine.
+// wrapping transport.ErrRingAborted (on a ring-less group, every later
+// one). Safe to call from any goroutine.
 func (h *HierComm) Abort() {
 	if h.ring != nil {
 		h.ring.Abort()
@@ -213,23 +215,53 @@ func (h *HierComm) sendHop(l int, vals []float32, comp bool) error {
 		return nil
 	}
 	lk := &h.links[l]
-	var buf []float32
-	select {
-	case buf = <-lk.free:
-	case <-h.down:
-		return h.poisoned()
+	buf, err := h.take(lk.free)
+	if err != nil {
+		return err
 	}
 	if cap(buf) < len(vals) {
 		buf = make([]float32, len(vals))
 	}
 	buf = buf[:len(vals)]
 	copy(buf, vals)
+	if h.ring == nil {
+		lk.data <- buf
+		return nil
+	}
 	select {
 	case lk.data <- buf:
+		return nil
+	default:
+	}
+	select {
+	case lk.data <- buf:
+		return nil
 	case <-h.down:
 		return h.poisoned()
 	}
-	return nil
+}
+
+// take receives from a channel hop, or fails once the communicator is
+// down. Only a ring-backed group can fail mid-collective, at its network
+// hop, so a ring-less group blocks on the bare channel operation. On a
+// ring-backed group the non-blocking attempt keeps the down channel, which
+// every hosted rank shares, off the path of a hop whose peer is already
+// there; a select on it costs markedly more than a bare channel operation.
+func (h *HierComm) take(ch chan []float32) ([]float32, error) {
+	if h.ring == nil {
+		return <-ch, nil
+	}
+	select {
+	case v := <-ch:
+		return v, nil
+	default:
+	}
+	select {
+	case v := <-ch:
+		return v, nil
+	case <-h.down:
+		return nil, h.poisoned()
+	}
 }
 
 // recvHop receives the predecessor's message for local rank l into dst,
@@ -257,11 +289,9 @@ func (h *HierComm) recvHop(l int, dst []float32, accumulate, comp bool) error {
 		return nil
 	}
 	lk := &h.links[(l-1+h.local)%h.local]
-	var in []float32
-	select {
-	case in = <-lk.data:
-	case <-h.down:
-		return h.poisoned()
+	in, err := h.take(lk.data)
+	if err != nil {
+		return err
 	}
 	if accumulate {
 		for i := range dst {

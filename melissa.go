@@ -141,13 +141,6 @@ type Config struct {
 	// batchHook, when set, runs on global rank 0 after every synchronized
 	// training step of RunOnline; tests use it to act at a step boundary.
 	batchHook func(batches int)
-	// pace, when > 0, paces a single-rank Reservoir run: once Threshold+1
-	// time steps have been produced, every further step waits until rank 0
-	// has trained pace more batches. The run then trains at least
-	// pace·(Simulations·StepsPerSim − Threshold − 1) batches before the
-	// buffer drains, however the scheduler interleaves solvers and
-	// trainer; tests use it where they need a trained model.
-	pace int
 }
 
 // problem returns the configured problem, defaulting to the heat equation.
@@ -210,9 +203,6 @@ func (c Config) validate() error {
 	}
 	if c.Threshold > c.Capacity {
 		return fmt.Errorf("melissa: buffer Threshold=%d exceeds Capacity=%d — extraction could never start", c.Threshold, c.Capacity)
-	}
-	if c.pace > 0 && (c.Ranks != 1 || c.Buffer != Reservoir) {
-		return fmt.Errorf("melissa: paced runs need one rank and the Reservoir buffer, got %d ranks and %s", c.Ranks, c.Buffer)
 	}
 	return nil
 }
@@ -305,25 +295,6 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 		schedule = opt.Constant(cfg.LearningRate)
 	}
 
-	onBatchEnd := cfg.batchHook
-	newSim := func(params []float64) (solver.Simulator, error) { return prob.NewSimulator(cfg, params) }
-	if cfg.pace > 0 {
-		p := newPacer(cfg.pace, cfg.Threshold+1)
-		onBatchEnd = func(batches int) {
-			p.batchEnd(batches)
-			if cfg.batchHook != nil {
-				cfg.batchHook(batches)
-			}
-		}
-		newSim = func(params []float64) (solver.Simulator, error) {
-			sim, err := prob.NewSimulator(cfg, params)
-			if err != nil {
-				return nil, err
-			}
-			return pacedSim{Simulator: sim, ctx: ctx, p: p}, nil
-		}
-	}
-
 	var initialWeights []byte
 	if cfg.WarmStart != nil {
 		var buf bytes.Buffer
@@ -357,12 +328,12 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 				Validation:       valSet,
 				ValidateEvery:    cfg.ValidateEvery,
 				TrackOccurrences: true,
-				OnBatchEnd:       onBatchEnd,
+				OnBatchEnd:       cfg.batchHook,
 			},
 			WatchdogTimeout: cfg.WatchdogTimeout,
 			CheckpointPath:  cfg.CheckpointPath,
 		},
-		NewSim:               newSim,
+		NewSim:               func(params []float64) (solver.Simulator, error) { return prob.NewSimulator(cfg, params) },
 		Steps:                cfg.StepsPerSim,
 		Dt:                   cfg.Dt,
 		Design:               design,

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -38,8 +40,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Capacity = -5 },
 		func(c *Config) { c.Threshold = -1 },
 		func(c *Config) { c.Threshold = c.Capacity + 1 },
-		func(c *Config) { c.pace, c.Ranks = 1, 2 },
-		func(c *Config) { c.pace, c.Buffer = 1, FIFO },
 	}
 	for i, mutate := range bad {
 		cfg := tinyConfig()
@@ -50,16 +50,95 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// pacer ties solver progress to training progress: the first free time
+// steps run unhindered; every further step waits until rank 0 has trained
+// pace batches per step beyond them. While producers wait, the Reservoir
+// keeps the trainer busy by repeating samples, so the gate always opens.
+type pacer struct {
+	pace, free int
+	produced   atomic.Int64
+
+	mu      sync.Mutex
+	batches int
+	moved   chan struct{} // closed and replaced after every batch
+}
+
+func newPacer(pace, free int) *pacer {
+	return &pacer{pace: pace, free: free, moved: make(chan struct{})}
+}
+
+// batchEnd records rank 0's batch count and wakes waiting producers.
+func (p *pacer) batchEnd(batches int) {
+	p.mu.Lock()
+	p.batches = batches
+	close(p.moved)
+	p.moved = make(chan struct{})
+	p.mu.Unlock()
+}
+
+// wait blocks the caller's next time step until training has caught up
+// with it, or ctx ends.
+func (p *pacer) wait(ctx context.Context) error {
+	need := p.pace * (int(p.produced.Add(1)) - p.free)
+	for {
+		p.mu.Lock()
+		done, moved := p.batches >= need, p.moved
+		p.mu.Unlock()
+		if done {
+			return nil
+		}
+		select {
+		case <-moved:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// pacedProblem is a Problem whose simulators gate every time step on a
+// pacer.
+type pacedProblem struct {
+	Problem
+	ctx context.Context
+	p   *pacer
+}
+
+func (pp pacedProblem) NewSimulator(cfg Config, params []float64) (Simulator, error) {
+	sim, err := pp.Problem.NewSimulator(cfg, params)
+	if err != nil {
+		return nil, err
+	}
+	return pacedSim{Simulator: sim, ctx: pp.ctx, p: pp.p}, nil
+}
+
+type pacedSim struct {
+	Simulator
+	ctx context.Context
+	p   *pacer
+}
+
+func (s pacedSim) StepOnce() error {
+	if err := s.p.wait(s.ctx); err != nil {
+		return err
+	}
+	return s.Simulator.StepOnce()
+}
+
 func TestRunOnlineEndToEnd(t *testing.T) {
 	// A free-running tiny run trains anywhere from one pass over the data
 	// (12 batches) to hundreds, depending on how the scheduler interleaves
-	// solvers and trainer. Pacing guarantees the training volume the
-	// plausibility check below needs; the timeout only guards against a
-	// hang.
+	// solvers and trainer. Pacing the single-rank Reservoir run guarantees
+	// the training volume the plausibility check below needs: the
+	// validation set and the first Threshold+1 ensemble steps run free,
+	// every later step waits for pace more batches. The timeout only
+	// guards against a hang.
 	cfg := tinyConfig()
-	cfg.pace = 3
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
+	const pace = 3
+	pc := newPacer(pace, cfg.ValidationSims*cfg.StepsPerSim+cfg.Threshold+1)
+	cfg.Problem = pacedProblem{Problem: Heat(), ctx: ctx, p: pc}
+	cfg.batchHook = pc.batchEnd
 	res, err := RunOnline(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +153,7 @@ func TestRunOnlineEndToEnd(t *testing.T) {
 	if res.Samples < want || res.Batches == 0 {
 		t.Fatalf("samples %d batches %d", res.Samples, res.Batches)
 	}
-	if paced := cfg.pace * (want - cfg.Threshold - 1); res.Batches < paced {
+	if paced := pace * (want - cfg.Threshold - 1); res.Batches < paced {
 		t.Fatalf("paced run trained %d batches, want at least %d", res.Batches, paced)
 	}
 	if res.ValidationMSE <= 0 {
