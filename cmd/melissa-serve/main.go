@@ -44,7 +44,7 @@ func main() {
 		replicas     = flag.Int("replicas", 2, "batch workers, each with an inference replica sharing the weight slab")
 		maxBatch     = flag.Int("max-batch", 32, "requests coalesced into one fused forward pass")
 		batchWait    = flag.Duration("batch-wait", 500*time.Microsecond, "micro-batch latency budget (SLO knob; batches close at -max-batch or this deadline)")
-		shedQueue    = flag.Int("shed-queue", 0, "admit-queue capacity = load-shedding threshold (0 = 4*replicas*max-batch)")
+		shedQueue    = flag.Int("shed-queue", 0, "admit-queue capacity = load-shedding threshold (0 = max(4*replicas*max-batch, 256))")
 		writeTimeout = flag.Duration("write-timeout", 5*time.Second, "per-frame response write deadline; a slower client is disconnected (negative disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM: finish admitted work within this, then force-close")
 		cache        = flag.Int("cache", 4096, "prediction cache entries (0 disables)")

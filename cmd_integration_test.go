@@ -6,6 +6,7 @@ package melissa
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -29,31 +30,50 @@ func TestMultiProcessServerAndClients(t *testing.T) {
 		}
 	}
 
-	t.Run("heat", func(t *testing.T) {
-		weights := runMultiProcessEnsemble(t, serverBin, clientBin, HeatName)
-		// The written weights are a raw nn payload; the legacy loader
-		// restores them with the architecture supplied explicitly.
-		s, err := LoadSurrogateLegacyFile(weights, 8, 6, 0.01, []int{64, 64}, 2023)
-		if err != nil {
-			t.Fatal(err)
+	// The same binaries run every problem end-to-end with just a flag
+	// change; the Gray–Scott fields are two-channel (128 values).
+	for _, tc := range []struct {
+		problem string
+		width   int
+	}{{HeatName, 64}, {GrayScottName, 128}} {
+		t.Run(tc.problem, func(t *testing.T) {
+			checkPublishedModel(t, runMultiProcessEnsemble(t, serverBin, clientBin, tc.problem), tc.problem, tc.width)
+		})
+	}
+}
+
+// checkPublishedModel loads a melissa-server -surrogate-out checkpoint with
+// no architecture arguments and checks that it predicts a finite field of
+// the problem's width.
+func checkPublishedModel(t *testing.T, path, problem string, width int) {
+	t.Helper()
+	s, err := LoadSurrogateFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Meta().Problem != problem {
+		t.Fatalf("checkpoint models %q, want %q", s.Meta().Problem, problem)
+	}
+	prob, err := ProblemByName(problem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := s.Predict(midPoint(prob), 3*s.Meta().Dt)
+	if len(field) != width {
+		t.Fatalf("field length %d, want %d", len(field), width)
+	}
+	for i, v := range field {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("field[%d] = %v", i, v)
 		}
-		field := s.PredictHeat(HeatParams{TIC: 300, TX1: 200, TY1: 400, TX2: 250, TY2: 350}, 0.03)
-		if len(field) != 64 {
-			t.Fatalf("field length %d", len(field))
-		}
-	})
-	t.Run("gray-scott", func(t *testing.T) {
-		// The same binaries run the second problem end-to-end with just a
-		// flag change; the streamed fields are two-channel (128 values).
-		runMultiProcessEnsemble(t, serverBin, clientBin, GrayScottName)
-	})
+	}
 }
 
 // TestMultiProcessRanksOverTCP drives the multi-process deployment: one
 // melissa-server OS process per training rank, joined over the TCP
 // collective ring (-proc / -ranks-transport), with the ensemble clients
-// streaming to both rank processes. Rank 0 must produce trained weights
-// that load and predict.
+// streaming to both rank processes. Rank 0 must publish a trained model
+// that loads and predicts.
 func TestMultiProcessRanksOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs separate processes")
@@ -71,7 +91,7 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 	dir := t.TempDir()
 	const ranks = 2
 	const clients = 3
-	weights := filepath.Join(dir, "weights.bin")
+	model := filepath.Join(dir, "model.mlsg")
 
 	// Reserve a loopback port per rank for the collective ring. The
 	// listen-close-reuse pattern has a tiny race window, acceptable for a
@@ -98,7 +118,7 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 			"-clients", fmt.Sprint(clients), "-problem", HeatName,
 			"-grid", "8", "-steps", "6", "-batch", "4",
 			"-buffer", "Reservoir", "-capacity", "60", "-threshold", "8",
-			"-addr-file", rankAddrFiles[r], "-out", weights)
+			"-addr-file", rankAddrFiles[r], "-surrogate-out", model)
 		outs[r] = &strings.Builder{}
 		srv.Stdout = outs[r]
 		srv.Stderr = outs[r]
@@ -171,30 +191,23 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 		t.Fatalf("rank 0 output missing summary:\n%s", outs[0].String())
 	}
 
-	s, err := LoadSurrogateLegacyFile(weights, 8, 6, 0.01, []int{64, 64}, 2023)
-	if err != nil {
-		t.Fatal(err)
-	}
-	field := s.PredictHeat(HeatParams{TIC: 300, TX1: 200, TY1: 400, TX2: 250, TY2: 350}, 0.03)
-	if len(field) != 64 {
-		t.Fatalf("field length %d", len(field))
-	}
+	checkPublishedModel(t, model, HeatName, 64)
 }
 
 // runMultiProcessEnsemble drives one server + 3 clients for a problem and
-// returns the path of the written weights file.
+// returns the path of the published surrogate checkpoint.
 func runMultiProcessEnsemble(t *testing.T, serverBin, clientBin, problem string) string {
 	t.Helper()
 	dir := t.TempDir()
 	addrFile := filepath.Join(dir, "addrs.txt")
-	weights := filepath.Join(dir, "weights.bin")
+	model := filepath.Join(dir, "model.mlsg")
 	const clients = 3
 
 	srv := exec.Command(serverBin,
 		"-ranks", "2", "-clients", fmt.Sprint(clients), "-problem", problem,
 		"-grid", "8", "-steps", "6", "-batch", "4",
 		"-buffer", "Reservoir", "-capacity", "60", "-threshold", "8",
-		"-addr-file", addrFile, "-out", weights)
+		"-addr-file", addrFile, "-surrogate-out", model)
 	var srvOut strings.Builder
 	srv.Stdout = &srvOut
 	srv.Stderr = &srvOut
@@ -247,5 +260,5 @@ func runMultiProcessEnsemble(t *testing.T, serverBin, clientBin, problem string)
 	if !strings.Contains(srvOut.String(), "trained") {
 		t.Fatalf("server output missing summary:\n%s", srvOut.String())
 	}
-	return weights
+	return model
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -354,6 +355,16 @@ func TestLoadWeightsRejectsGarbage(t *testing.T) {
 	}
 	if err := net.LoadWeights(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected error on empty input")
+	}
+	// Version 1 (values interleaved with per-param metadata) is retired.
+	var buf bytes.Buffer
+	if err := net.SaveWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v1 := buf.Bytes()
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	if err := net.LoadWeights(bytes.NewReader(v1)); err == nil {
+		t.Fatal("expected error on a version 1 payload")
 	}
 }
 

@@ -9,7 +9,6 @@ package serve
 // numbers; CI runs a -benchtime=1x smoke of every variant.
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -18,7 +17,6 @@ import (
 
 	"melissa"
 	"melissa/internal/client"
-	"melissa/internal/nn"
 )
 
 // benchQueryPool is sized so closed-loop clients cycling through it keep
@@ -31,22 +29,7 @@ const benchQueryPool = 512
 // amortizing that weight traffic across the fused batch.
 func benchSurrogate(b *testing.B) *melissa.Surrogate {
 	b.Helper()
-	cfg := melissa.DefaultConfig()
-	cfg.GridN = 16
-	cfg.StepsPerSim = 6
-	cfg.Hidden = []int{64, 64}
-	cfg.Seed = 7
-	norm := melissa.Heat().Normalizer(cfg)
-	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
-	var buf bytes.Buffer
-	if err := net.SaveWeights(&buf); err != nil {
-		b.Fatal(err)
-	}
-	sur, err := melissa.LoadSurrogateLegacy(&buf, cfg.GridN, cfg.StepsPerSim, cfg.Dt, cfg.Hidden, cfg.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sur
+	return heatSurrogate(b, 16, []int{64, 64}, 7)
 }
 
 type serveBenchVariant struct {

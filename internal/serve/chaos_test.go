@@ -9,7 +9,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -19,37 +18,12 @@ import (
 	"testing"
 	"time"
 
-	"melissa"
 	"melissa/internal/client"
-	"melissa/internal/nn"
 	"melissa/internal/protocol"
 	"melissa/internal/transport"
 
 	"math/rand/v2"
 )
-
-// chaosSurrogate is testSurrogate with a controllable grid — the wedge
-// scenario needs fat responses (gridN² floats) so a non-reading client
-// jams its TCP send buffer within a few frames.
-func chaosSurrogate(t testing.TB, gridN int, hidden []int, seed uint64) *melissa.Surrogate {
-	t.Helper()
-	cfg := melissa.DefaultConfig()
-	cfg.GridN = gridN
-	cfg.StepsPerSim = 6
-	cfg.Hidden = hidden
-	cfg.Seed = seed
-	norm := melissa.Heat().Normalizer(cfg)
-	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), seed)
-	var buf bytes.Buffer
-	if err := net.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sur, err := melissa.LoadSurrogateLegacy(&buf, cfg.GridN, cfg.StepsPerSim, cfg.Dt, cfg.Hidden, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sur
-}
 
 // TestServeChaosWedgedClient is the overload acceptance scenario: one
 // chaos-wedged client (reads stall after the first frame) pipelines a
@@ -58,7 +32,9 @@ func chaosSurrogate(t testing.TB, gridN int, hidden []int, seed uint64) *melissa
 // stops draining responses, and keep answering well-behaved retrying
 // clients with bounded latency and bit-exact fields throughout.
 func TestServeChaosWedgedClient(t *testing.T) {
-	sur := chaosSurrogate(t, 64, []int{64, 64}, 41) // 16KB responses
+	// Fat responses (gridN² floats) let a non-reading client jam its TCP
+	// send buffer within a few frames.
+	sur := heatSurrogate(t, 64, []int{64, 64}, 41) // 16KB responses
 	cfg := Config{
 		Replicas:     1,
 		MaxBatch:     8,

@@ -71,7 +71,8 @@ type Config struct {
 	// QueueSize bounds the admit queue and is therefore the load-shedding
 	// threshold: a request arriving with the queue full is answered
 	// immediately with an overloaded error instead of waiting. Default
-	// 4*Replicas*MaxBatch.
+	// max(4*Replicas*MaxBatch, 256), so a closed loop of up to 256
+	// connections with one request outstanding each is never shed.
 	QueueSize int
 	// WriteTimeout bounds each response-frame write to a client socket.
 	// A write that outlives it marks the client slow and tears down that
@@ -113,7 +114,7 @@ func (c Config) withDefaults() Config {
 		c.BatchWait = 500 * time.Microsecond
 	}
 	if c.QueueSize <= 0 {
-		c.QueueSize = 4 * c.Replicas * c.MaxBatch
+		c.QueueSize = max(4*c.Replicas*c.MaxBatch, 256)
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 5 * time.Second

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"math"
 	"math/rand/v2"
 	"net"
@@ -23,18 +22,21 @@ import (
 // which is what the reload tests need.
 func testSurrogate(t testing.TB, seed uint64) *melissa.Surrogate {
 	t.Helper()
+	return heatSurrogate(t, 8, []int{24, 24}, seed)
+}
+
+// heatSurrogate builds an untrained heat surrogate on a gridN² field with
+// the given hidden widths and seeded random weights.
+func heatSurrogate(t testing.TB, gridN int, hidden []int, seed uint64) *melissa.Surrogate {
+	t.Helper()
 	cfg := melissa.DefaultConfig()
-	cfg.GridN = 8
+	cfg.Problem = melissa.Heat()
+	cfg.GridN = gridN
 	cfg.StepsPerSim = 6
-	cfg.Hidden = []int{24, 24}
+	cfg.Hidden = hidden
 	cfg.Seed = seed
-	norm := melissa.Heat().Normalizer(cfg)
-	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), seed)
-	var buf bytes.Buffer
-	if err := net.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sur, err := melissa.LoadSurrogateLegacy(&buf, cfg.GridN, cfg.StepsPerSim, cfg.Dt, cfg.Hidden, seed)
+	norm := cfg.Problem.Normalizer(cfg)
+	sur, err := melissa.SurrogateFromNetwork(nn.ArchitectureMLP(norm.InputDim(), hidden, norm.OutputDim(), seed), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +239,41 @@ func TestServeBatchesCoalesce(t *testing.T) {
 	}
 }
 
+// TestServeClosedLoopNeverShed: a closed loop holds at most one request per
+// connection in flight, so 32 connections can never fill the default admit
+// queue — even at MaxBatch 1, where 4·Replicas·MaxBatch alone would be 4.
+func TestServeClosedLoopNeverShed(t *testing.T) {
+	s := NewServer(testSurrogate(t, 47), Config{MaxBatch: 1, Replicas: 1})
+	addr := startServer(t, s)
+
+	const clients, each = 32, 100
+	var wg sync.WaitGroup
+	params, ts := testQueries(clients, rand.New(rand.NewPCG(9, 10)))
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c, err := client.DialPredict(addr, 5*time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			var field []float32
+			for i := 0; i < each; i++ {
+				if field, _, err = c.PredictInto(field, params[g], ts[g]); err != nil {
+					t.Errorf("client %d request %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Shed != 0 || st.BatchRows != clients*each {
+		t.Fatalf("stats %+v: want 0 shed and %d rows served", st, clients*each)
+	}
+}
+
 // TestServeReloadUnderLoad is the hot-reload torture test (run under
 // -race): clients hammer the server while the checkpoint is repeatedly
 // hot-swapped between two models. Every request must get exactly one
@@ -374,20 +411,7 @@ func TestServeWatcherPicksUpPublish(t *testing.T) {
 // dimensions must be refused, leaving the old model serving.
 func TestServeReloadRejectsIncompatible(t *testing.T) {
 	sur := testSurrogate(t, 41)
-	cfg := melissa.DefaultConfig()
-	cfg.GridN = 4 // different output dim
-	cfg.StepsPerSim = 6
-	cfg.Hidden = []int{8}
-	norm := melissa.Heat().Normalizer(cfg)
-	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), 3)
-	var buf bytes.Buffer
-	if err := net.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	small, err := melissa.LoadSurrogateLegacy(&buf, cfg.GridN, cfg.StepsPerSim, cfg.Dt, cfg.Hidden, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small := heatSurrogate(t, 4, []int{8}, 3) // different output dim
 	path := filepath.Join(t.TempDir(), "small.mlsg")
 	if err := melissa.PublishSurrogate(small, path); err != nil {
 		t.Fatal(err)

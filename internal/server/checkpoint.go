@@ -11,8 +11,7 @@ import (
 // checkpointFile is the on-disk server checkpoint (§3.1): everything a
 // replacement server instance needs to resume training without retraining
 // on already-seen data or losing buffered samples. The per-rank message
-// log travels inside SimState.Seen (the per-sim step bitsets), replacing
-// the separate map[Key]bool log of earlier revisions.
+// log travels inside SimState.Seen (the per-sim step bitsets).
 type checkpointFile struct {
 	Ranks   int
 	Batches int
@@ -22,12 +21,6 @@ type checkpointFile struct {
 	OptState []byte
 
 	Sims []map[int32]SimState
-
-	// Seen is the legacy (pre-bitset) per-rank dedup log. New checkpoints
-	// leave it nil (the log lives in SimState.Seen); RestoreCheckpoint
-	// migrates a non-nil legacy log into the bitsets so old checkpoints
-	// keep their dedup guarantee.
-	Seen []map[buffer.Key]bool
 
 	BufSeen   [][]buffer.Sample
 	BufUnseen [][]buffer.Sample
@@ -116,28 +109,14 @@ func (s *Server) RestoreCheckpoint(path string) error {
 		a.goodbyes = 0
 		for id, st := range m {
 			cp := st
-			// Clamp like the live Hello path: an unclamped (legacy or
-			// crafted) Steps past the tracking cap would make
-			// receptionComplete demand steps markSeen can never record.
+			// Clamp like the live Hello path: a crafted Steps past the
+			// tracking cap would make receptionComplete demand steps
+			// markSeen can never record.
 			cp.Steps = clampSteps(cp.Steps)
 			a.sims[id] = &cp
 			if cp.Goodbye {
 				a.goodbyes++
 			}
-		}
-		a.mu.Unlock()
-	}
-	// Legacy checkpoints (pre-bitset) carry the dedup log as per-rank key
-	// maps; fold them into the per-sim bitsets so replayed steps are
-	// still discarded after the restore.
-	for r, m := range ck.Seen {
-		if r >= len(s.aggs) {
-			break
-		}
-		a := s.aggs[r]
-		a.mu.Lock()
-		for k := range m {
-			a.sim(int32(k.SimID)).markSeen(int32(k.Step))
 		}
 		a.mu.Unlock()
 	}

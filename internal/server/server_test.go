@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/gob"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -419,89 +417,46 @@ func TestServerCheckpointRestart(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacyCheckpointMigratesSeen writes a checkpoint in the
-// pre-bitset on-disk shape (dedup log as per-rank map[Key]bool, SimState
-// without the Seen bitset) and restores it: the legacy log must fold into
-// the per-sim bitsets so replayed steps are still discarded.
-func TestRestoreLegacyCheckpointMigratesSeen(t *testing.T) {
+// TestRestoreCheckpointDedupsReplay: the dedup log travels in the
+// checkpoint, so a restored server discards replays of every step ingested
+// before the checkpoint and stores only genuinely new ones (§3.1 client
+// restart after a server restart).
+func TestRestoreCheckpointDedupsReplay(t *testing.T) {
 	cfg := testConfig(1, 1, buffer.FIFOKind)
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weights, optState, err := srv.Trainer().CaptureState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type legacySimState struct {
-		ClientID int32
-		Steps    int32
-		Received int32
-		Goodbye  bool
-	}
-	type legacyCheckpoint struct {
-		Ranks   int
-		Batches int
-		Samples int
-
-		Weights  []byte
-		OptState []byte
-
-		Seen []map[buffer.Key]bool
-		Sims []map[int32]legacySimState
-
-		BufSeen   [][]buffer.Sample
-		BufUnseen [][]buffer.Sample
-	}
-	legacy := legacyCheckpoint{
-		Ranks:    1,
-		Batches:  3,
-		Samples:  12,
-		Weights:  weights,
-		OptState: optState,
-		Seen: []map[buffer.Key]bool{{
-			{SimID: 0, Step: 1}: true,
-			{SimID: 0, Step: 2}: true,
-			{SimID: 0, Step: 3}: true,
-		}},
-		Sims: []map[int32]legacySimState{{
-			0: {ClientID: 0, Steps: testSteps, Received: 3},
-		}},
-		BufSeen:   make([][]buffer.Sample, 1),
-		BufUnseen: make([][]buffer.Sample, 1),
-	}
-	path := filepath.Join(t.TempDir(), "legacy.ckpt")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := srv.RestoreCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Metrics().Batches(); got != 3 {
-		t.Fatalf("restored batches %d, want 3", got)
-	}
-	// Replays of the logged steps must be dropped; a fresh step stored.
-	send := func(step int32) {
+	send := func(srv *Server, step int32) {
 		ts := protocol.LeaseTimeStep()
 		ts.SimID, ts.Step = 0, step
 		ts.Input = append(ts.Input[:0], make([]float32, cfg.Trainer.Normalizer.InputDim())...)
 		ts.Field = append(ts.Field[:0], make([]float32, cfg.Trainer.Normalizer.OutputDim())...)
 		srv.ingestTimeStep(0, ts)
 	}
-	for _, step := range []int32{1, 2, 3, 4} {
-		send(step)
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := srv.bufs[0].Len(); got != 1 {
-		t.Fatalf("buffer holds %d samples, want 1 (steps 1-3 are replays)", got)
+	for _, step := range []int32{1, 2, 3} {
+		send(first, step)
+	}
+	path := filepath.Join(t.TempDir(), "server.ckpt")
+	if err := first.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RestoreCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.bufs[0].Len(); got != 3 {
+		t.Fatalf("restored buffer holds %d samples, want 3", got)
+	}
+	for _, step := range []int32{1, 2, 3, 4} {
+		send(srv, step)
+	}
+	if got := srv.bufs[0].Len(); got != 4 {
+		t.Fatalf("buffer holds %d samples, want 4 (steps 1-3 are replays, only step 4 is new)", got)
 	}
 }
 

@@ -26,7 +26,8 @@
 // and architecture, so LoadSurrogate(r) reconstructs a usable model with no
 // further arguments. Trained surrogates are served at scale by
 // cmd/melissa-serve: adaptive micro-batching over the wire protocol, a
-// replica pool sharing one weight slab (Surrogate.NewReplica), an LRU
+// replica pool sharing one weight slab (Surrogate.NewReplica, the same
+// forward path Predict and PredictBatch run on), an LRU
 // prediction cache, and hot checkpoint reload fed by melissa-server's
 // -surrogate-out/-publish-every atomic publishes (PublishSurrogate) — see
 // docs/serving.md for topology and SLO tuning. Lower-level building blocks

@@ -260,6 +260,9 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 	if _, err := res.Surrogate.PredictBatch([][]float64{{1, 2}}, []float64{0.1}); err == nil {
 		t.Fatal("expected parameter-dimension error")
 	}
+	if out, err := res.Surrogate.PredictBatch(nil, nil); err != nil || out == nil || len(out) != 0 {
+		t.Fatalf("empty batch: got %v, %v; want an empty slice and no error", out, err)
+	}
 }
 
 func TestSolveGroundTruth(t *testing.T) {

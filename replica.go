@@ -12,11 +12,11 @@ import (
 // Replica is a dedicated inference worker bound to a Surrogate: it shares
 // the surrogate's weight storage (no copy — see nn.Network.CloneShared) and
 // owns all forward scratch, so a pool of replicas evaluates batches
-// concurrently against one weight slab. Unlike Predict/PredictBatch it
-// speaks float32 end to end, matching the wire protocol, and its batch call
-// is allocation-free at steady state — it exists for the serving tier's
-// micro-batcher, where per-request conversions and pool round-trips would
-// dominate small-batch latency.
+// concurrently against one weight slab. It is the surrogate's one forward
+// path: Predict, PredictInto and PredictBatch run on replicas too, and
+// only add the float64 conversions. Used directly it speaks float32 end to
+// end, matching the wire protocol, and its batch call is allocation-free at
+// steady state — the serving tier's micro-batcher holds one per worker.
 //
 // A Replica is not safe for concurrent use; give each serving goroutine its
 // own. The surrogate's weights must not be mutated while replicas exist.
@@ -63,9 +63,10 @@ func (r *Replica) OutputDim() int { return r.s.OutputDim() }
 
 // PredictBatchRaw evaluates n queries in one fused forward pass. query(i)
 // must return query i's design parameters (length ParamDim, float32, wire
-// order) and physical time; emit(i, field) receives the denormalized field
-// for query i and must copy or encode it before returning — the buffer is
-// reused for the next row.
+// order) and physical time; it is called for i = 0..n-1 in order, and each
+// returned slice is copied before the next call, so callers may reuse it.
+// emit(i, field) receives the denormalized field for query i and must copy
+// or encode it before returning — the buffer is reused for the next row.
 //
 // The forward pass always runs at MaxBatch rows: unused rows carry stale
 // inputs from earlier batches and their outputs are discarded. Padding to a

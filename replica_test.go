@@ -1,6 +1,7 @@
 package melissa
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -30,9 +31,9 @@ func randQueries(prob Problem, n int, rng *rand.Rand) (params [][]float32, ts []
 // query's answer must be bit-identical no matter which other requests it is
 // coalesced with, which batch slot it lands in, or which replica runs it —
 // the invariant the serving tier's micro-batcher and prediction cache are
-// built on. Also sanity-checks the answers against the Predict reference
-// path within floating-point tolerance (the two paths may legitimately pick
-// different GEMM kernels for their different batch shapes).
+// built on. It also pins the one inference path: Predict is bit-identical
+// to a NewReplica(1) answer, and each row of PredictBatch(n) to the same
+// row of a NewReplica(n) batch.
 func TestReplicaBatchInvariant(t *testing.T) {
 	for _, prob := range []Problem{Heat(), GrayScott()} {
 		s := freshSurrogate(prob)
@@ -43,12 +44,7 @@ func TestReplicaBatchInvariant(t *testing.T) {
 		ref := make([][]float32, len(params))
 		other := s.NewReplica(16)
 		for q := range params {
-			err := other.PredictBatchRaw(1,
-				func(int) ([]float32, float32) { return params[q], ts[q] },
-				func(_ int, field []float32) { ref[q] = append([]float32(nil), field...) })
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref[q] = replicaRows(t, other, params[q:q+1], ts[q:q+1])[0]
 		}
 		for _, n := range []int{1, 2, 3, 7, 8, 13, 16} {
 			// Shift the queries so each batch size exercises different slots.
@@ -71,20 +67,56 @@ func TestReplicaBatchInvariant(t *testing.T) {
 				t.Fatalf("%s n=%d: %v", prob.Name(), n, err)
 			}
 		}
-		// Cross-check against the float64 Predict path within tolerance.
+		p64 := make([][]float64, len(params))
+		t64 := make([]float64, len(ts))
 		for q := range params {
-			p64 := make([]float64, len(params[q]))
+			p64[q] = make([]float64, len(params[q]))
 			for j, v := range params[q] {
-				p64[j] = float64(v)
+				p64[q][j] = float64(v)
 			}
-			want := s.Predict(p64, float64(ts[q]))
+			t64[q] = float64(ts[q])
+		}
+		same := func(what string, got []float64, want []float32) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: %d values, replica gives %d", prob.Name(), what, len(got), len(want))
+			}
 			for j := range want {
-				if d := math.Abs(float64(ref[q][j]) - want[j]); d > 1e-3+1e-3*math.Abs(want[j]) {
-					t.Fatalf("%s query %d: field[%d] = %v, Predict gives %v", prob.Name(), q, j, ref[q][j], want[j])
+				if math.Float64bits(got[j]) != math.Float64bits(float64(want[j])) {
+					t.Fatalf("%s %s: field[%d] = %v, replica gives %v", prob.Name(), what, j, got[j], want[j])
 				}
 			}
 		}
+		one := s.NewReplica(1)
+		for q := range params {
+			want := replicaRows(t, one, params[q:q+1], ts[q:q+1])
+			same(fmt.Sprintf("Predict query %d", q), s.Predict(p64[q], t64[q]), want[0])
+		}
+		for _, n := range []int{1, 3, 7, 16} {
+			want := replicaRows(t, s.NewReplica(n), params[:n], ts[:n])
+			got, err := s.PredictBatch(p64[:n], t64[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range want {
+				same(fmt.Sprintf("PredictBatch n=%d row %d", n, r), got[r], want[r])
+			}
+		}
 	}
+}
+
+// replicaRows runs one batch of len(params) queries on rep and returns
+// copies of the answers.
+func replicaRows(t *testing.T, rep *Replica, params [][]float32, ts []float32) [][]float32 {
+	t.Helper()
+	out := make([][]float32, len(params))
+	err := rep.PredictBatchRaw(len(params),
+		func(i int) ([]float32, float32) { return params[i], ts[i] },
+		func(i int, field []float32) { out[i] = append([]float32(nil), field...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestReplicaSharesWeights: NewReplica must not copy the weight slab — the

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"melissa/internal/nn"
-	"melissa/internal/tensor"
 )
 
 // Surrogate is a trained direct deep surrogate of a simulation problem:
@@ -18,30 +17,27 @@ import (
 // flattened field in one forward pass (§2.1 "direct models":
 // f_θ(X, t) ≈ u_t^X).
 //
-// All prediction methods are safe for concurrent use and scale across
-// cores: each goroutine draws a private forward workspace (network replica
-// plus staging buffers) from an internal pool, so parallel queries never
-// serialize on a lock. Workspaces are recycled, keeping the steady-state
-// single-query path allocation-free.
+// Every prediction method runs on a Replica, so the library API and the
+// serving tier share one forward path and its batch invariance. All of
+// them are safe for concurrent use and scale across cores: single queries
+// draw a 1-row replica (sharing the weights, owning its scratch) from an
+// internal pool, so parallel queries never serialize on a lock and the
+// steady-state single-query path is allocation-free.
 type Surrogate struct {
 	net  *nn.Network
 	norm Normalizer
 	meta Meta
 
-	// workspaces pools *predictScratch. The surrogate's weights are
-	// immutable after construction, so pooled replicas never go stale.
-	workspaces sync.Pool
+	// singles pools *single. The surrogate's weights are immutable after
+	// construction, so pooled replicas never go stale.
+	singles sync.Pool
 }
 
-// predictScratch is one goroutine's private forward workspace: a network
-// replica (the nn layers cache activations per batch shape and record
-// forward state, so a shared network would race) and the reusable input
-// row, raw staging and denormalization buffers.
-type predictScratch struct {
-	net    *nn.Network
-	rawIn  []float32
-	in     *tensor.Matrix
-	outBuf []float32
+// single is one goroutine's 1-row forward workspace: a replica plus the
+// float32 staging for the query's parameters.
+type single struct {
+	rep    *Replica
+	params []float32
 }
 
 // Meta describes a surrogate's provenance: the problem it models and the
@@ -69,25 +65,10 @@ func surrogateMeta(cfg Config, prob Problem) Meta {
 
 func newSurrogate(net *nn.Network, norm Normalizer, meta Meta) *Surrogate {
 	s := &Surrogate{net: net, norm: norm, meta: meta}
-	s.workspaces.New = func() any {
-		// Clone shares nothing with the original, so concurrent forward
-		// passes are independent; weights are copied once at clone time
-		// and the surrogate never mutates them afterwards.
-		return s.newScratch(s.net.Clone())
+	s.singles.New = func() any {
+		return &single{rep: s.NewReplica(1), params: make([]float32, s.ParamDim())}
 	}
-	// Seed the pool with a workspace wrapping the original network, so the
-	// common single-goroutine caller never pays for a clone.
-	s.workspaces.Put(s.newScratch(net))
 	return s
-}
-
-func (s *Surrogate) newScratch(net *nn.Network) *predictScratch {
-	return &predictScratch{
-		net:    net,
-		rawIn:  make([]float32, s.norm.InputDim()),
-		in:     tensor.New(1, s.norm.InputDim()),
-		outBuf: make([]float32, s.norm.OutputDim()),
-	}
 }
 
 // SurrogateFromNetwork wraps a trained network in a servable Surrogate. The
@@ -139,67 +120,66 @@ func (s *Surrogate) PredictHeat(p HeatParams, t float64) []float64 {
 // as needed and returned. With a destination of sufficient capacity the
 // steady-state call performs no heap allocations — the hot path for dense
 // parameter sweeps. Safe for concurrent use: each call runs on a private
-// pooled workspace, so parallel callers proceed without serializing.
+// pooled 1-row replica, so parallel callers proceed without serializing.
 func (s *Surrogate) PredictInto(dst []float64, params []float64, t float64) []float64 {
 	if len(params) != s.ParamDim() {
 		panic(fmt.Sprintf("melissa: Predict got %d parameters, problem %q wants %d", len(params), s.meta.Problem, s.ParamDim()))
 	}
-	ws := s.workspaces.Get().(*predictScratch)
-	defer s.workspaces.Put(ws)
+	w := s.singles.Get().(*single)
+	defer s.singles.Put(w)
 	for i, v := range params {
-		ws.rawIn[i] = float32(v)
+		w.params[i] = float32(v)
 	}
-	ws.rawIn[len(params)] = float32(t)
-	s.norm.NormalizeInput(ws.rawIn, ws.in.Data)
-	pred := ws.net.Forward(ws.in)
-	copy(ws.outBuf, pred.Data)
-	s.norm.DenormalizeField(ws.outBuf)
-	width := s.norm.OutputDim()
+	width := s.OutputDim()
 	if cap(dst) < width {
 		dst = make([]float64, width)
 	}
 	dst = dst[:width]
-	for i, v := range ws.outBuf {
-		dst[i] = float64(v)
+	err := w.rep.PredictBatchRaw(1,
+		func(int) ([]float32, float32) { return w.params, float32(t) },
+		func(_ int, field []float32) {
+			for i, v := range field {
+				dst[i] = float64(v)
+			}
+		})
+	if err != nil {
+		panic(err)
 	}
 	return dst
 }
 
 // PredictBatch evaluates many (params, time) queries in one forward pass,
 // amortizing the matrix multiplies — this is where the surrogate's
-// orders-of-magnitude speedup over the solver comes from. Safe for
-// concurrent use: the forward pass runs on a private pooled workspace.
+// orders-of-magnitude speedup over the solver comes from. It runs on a
+// replica sized to the batch, so each row is bit-identical to the same
+// query in a NewReplica(len(params)) batch. Safe for concurrent use.
 func (s *Surrogate) PredictBatch(params [][]float64, ts []float64) ([][]float64, error) {
 	if len(params) != len(ts) {
 		return nil, fmt.Errorf("melissa: %d params for %d times", len(params), len(ts))
 	}
-	dim := s.ParamDim()
-	in := tensor.New(len(params), s.norm.InputDim())
-	raw := make([]float32, s.norm.InputDim())
-	for r, p := range params {
-		if len(p) != dim {
-			return nil, fmt.Errorf("melissa: query %d has %d parameters, problem %q wants %d", r, len(p), s.meta.Problem, dim)
-		}
-		for i, v := range p {
-			raw[i] = float32(v)
-		}
-		raw[dim] = float32(ts[r])
-		s.norm.NormalizeInput(raw, in.Row(r))
-	}
-	ws := s.workspaces.Get().(*predictScratch)
-	defer s.workspaces.Put(ws)
-	pred := ws.net.Forward(in)
 	out := make([][]float64, len(params))
-	width := s.norm.OutputDim()
-	row := make([]float32, width)
-	for r := range out {
-		copy(row, pred.Data[r*width:(r+1)*width])
-		s.norm.DenormalizeField(row)
-		field := make([]float64, width)
-		for i, v := range row {
-			field[i] = float64(v)
-		}
-		out[r] = field
+	if len(params) == 0 {
+		return out, nil
+	}
+	// PredictBatchRaw copies each query before asking for the next, so one
+	// conversion buffer serves every row.
+	buf := make([]float32, 0, s.ParamDim())
+	err := s.NewReplica(len(params)).PredictBatchRaw(len(params),
+		func(i int) ([]float32, float32) {
+			buf = buf[:0]
+			for _, v := range params[i] {
+				buf = append(buf, float32(v))
+			}
+			return buf, float32(ts[i])
+		},
+		func(i int, field []float32) {
+			out[i] = make([]float64, len(field))
+			for j, v := range field {
+				out[i][j] = float64(v)
+			}
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -219,10 +199,6 @@ func (s *Surrogate) PredictBatchHeat(ps []HeatParams, ts []float64) ([][]float64
 //
 //	magic "MLSG" | version u32 | problem string | gridN u32 | steps u32 |
 //	dt f64 | hiddenCount u32 | hidden u32... | seed u64 | nn weights
-//
-// Weight payloads without the block (the server's raw checkpoints, files
-// from before the metadata header) still load through the legacy loaders,
-// which take the architecture explicitly.
 const (
 	surrogateMagic   = "MLSG"
 	surrogateVersion = 1
@@ -282,8 +258,7 @@ func (s *Surrogate) SaveFile(path string) error {
 
 // LoadSurrogate reconstructs a surrogate from a checkpoint written by Save.
 // The embedded metadata names the problem (resolved through the registry)
-// and the architecture, so no further arguments are needed. For raw weight
-// payloads without metadata, use LoadSurrogateLegacy.
+// and the architecture, so no further arguments are needed.
 func LoadSurrogate(r io.Reader) (*Surrogate, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -291,7 +266,7 @@ func LoadSurrogate(r io.Reader) (*Surrogate, error) {
 		return nil, fmt.Errorf("melissa: reading checkpoint magic: %w", err)
 	}
 	if string(magic) != surrogateMagic {
-		return nil, fmt.Errorf("melissa: checkpoint has no metadata block (magic %q) — re-read the payload with LoadSurrogateLegacy and an explicit architecture (this reader has already been partially consumed)", magic)
+		return nil, fmt.Errorf("melissa: not a surrogate checkpoint (magic %q, want %q); write one with Surrogate.Save or melissa-server -surrogate-out", magic, surrogateMagic)
 	}
 	var version uint32
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
@@ -380,32 +355,6 @@ func LoadSurrogateFile(path string) (*Surrogate, error) {
 	}
 	defer f.Close()
 	return LoadSurrogate(f)
-}
-
-// LoadSurrogateLegacy reconstructs a heat-equation surrogate from a raw
-// weight payload without a metadata block (a server checkpoint, or a file
-// saved before metadata existed). The architecture parameters must match
-// those used in training.
-func LoadSurrogateLegacy(r io.Reader, gridN, stepsPerSim int, dt float64, hidden []int, seed uint64) (*Surrogate, error) {
-	prob := Heat()
-	cfg := Config{Problem: prob, GridN: gridN, StepsPerSim: stepsPerSim, Dt: dt, Hidden: hidden, Seed: seed}
-	norm := prob.Normalizer(cfg)
-	net := nn.ArchitectureMLP(norm.InputDim(), hidden, norm.OutputDim(), seed)
-	if err := net.LoadWeights(r); err != nil {
-		return nil, err
-	}
-	meta := Meta{Problem: prob.Name(), GridN: gridN, StepsPerSim: stepsPerSim, Dt: dt, Hidden: append([]int(nil), hidden...), Seed: seed}
-	return newSurrogate(net, norm, meta), nil
-}
-
-// LoadSurrogateLegacyFile reads a raw heat-equation weights file.
-func LoadSurrogateLegacyFile(path string, gridN, stepsPerSim int, dt float64, hidden []int, seed uint64) (*Surrogate, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadSurrogateLegacy(f, gridN, stepsPerSim, dt, hidden, seed)
 }
 
 // writeString / readString mirror the nn checkpoint string encoding.

@@ -37,7 +37,8 @@ func midPoint(prob Problem) []float64 {
 
 // TestCheckpointRoundTripBothProblems: Save → LoadSurrogate must restore a
 // bit-identical predictor for every registered problem, with no
-// architecture arguments supplied at load time.
+// architecture arguments supplied at load time, and must reject a raw nn
+// weight payload (no metadata block) rather than misparse it.
 func TestCheckpointRoundTripBothProblems(t *testing.T) {
 	for _, name := range Problems() {
 		prob, err := ProblemByName(name)
@@ -67,36 +68,13 @@ func TestCheckpointRoundTripBothProblems(t *testing.T) {
 				t.Fatalf("%s: loaded surrogate predicts differently at %d: %v vs %v", name, i, a[i], b[i])
 			}
 		}
-	}
-}
 
-// TestLegacyWeightsCompat: raw v2 nn payloads (no metadata block) still
-// load through the legacy signature, bit-identically.
-func TestLegacyWeightsCompat(t *testing.T) {
-	s := freshSurrogate(Heat())
-	var raw bytes.Buffer
-	if err := s.net.SaveWeights(&raw); err != nil { // what a server checkpoint holds
-		t.Fatal(err)
-	}
-	payload := raw.Bytes()
-
-	// The metadata-aware loader must reject it with a pointer to the
-	// legacy path, not misparse it.
-	if _, err := LoadSurrogate(bytes.NewReader(payload)); err == nil {
-		t.Fatal("LoadSurrogate accepted a raw weights payload")
-	}
-
-	m := s.Meta()
-	loaded, err := LoadSurrogateLegacy(bytes.NewReader(payload), m.GridN, m.StepsPerSim, m.Dt, m.Hidden, m.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := midPoint(Heat())
-	a := s.Predict(p, 0.03)
-	b := loaded.Predict(p, 0.03)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("legacy-loaded surrogate predicts differently at %d", i)
+		var raw bytes.Buffer
+		if err := s.net.SaveWeights(&raw); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSurrogate(&raw); err == nil {
+			t.Fatalf("%s: LoadSurrogate accepted a raw weights payload", name)
 		}
 	}
 }
@@ -127,7 +105,7 @@ func TestTrainedCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPredictZeroAlloc is the allocation gate for the satellite scratch
+// TestPredictZeroAlloc is the allocation gate for the pooled 1-row replica
 // path: steady-state PredictInto with a reused destination must not touch
 // the heap.
 func TestPredictZeroAlloc(t *testing.T) {
@@ -166,8 +144,8 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 
 // TestPredictParallel drives Predict and PredictBatch from many goroutines
 // at once (under -race in CI) and checks every concurrent result against
-// the serial answer — the regression gate for the lock-free pooled
-// forward workspaces.
+// the serial answer — the regression gate for the lock-free pool of 1-row
+// replicas.
 func TestPredictParallel(t *testing.T) {
 	s := freshSurrogate(Heat())
 	params := midPoint(Heat())
@@ -246,8 +224,8 @@ func BenchmarkPredict(b *testing.B) {
 }
 
 // BenchmarkPredictParallel measures concurrent serving throughput: with
-// the pooled forward workspaces, parallel callers scale across cores
-// instead of serializing on the old scratch mutex.
+// the pooled 1-row replicas, parallel callers scale across cores instead of
+// serializing on a shared workspace.
 func BenchmarkPredictParallel(b *testing.B) {
 	cfg := DefaultConfig()
 	norm := Heat().Normalizer(cfg)
