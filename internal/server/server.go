@@ -194,9 +194,8 @@ type SimState struct {
 	Received int32
 	Goodbye  bool
 	// Seen is the message log for this sim on this rank: bit s records
-	// that time step s was received. It replaces the unbounded
-	// map[Key]bool of earlier revisions — Steps/8 bytes per sim,
-	// preallocated at Hello, O(1) duplicate checks without allocation.
+	// that time step s was received — Steps/8 bytes per sim, preallocated
+	// at Hello, O(1) duplicate checks without allocation.
 	Seen []uint64
 }
 
