@@ -37,8 +37,7 @@ func midPoint(prob Problem) []float64 {
 
 // TestCheckpointRoundTripBothProblems: Save → LoadSurrogate must restore a
 // bit-identical predictor for every registered problem, with no
-// architecture arguments supplied at load time, and must reject a raw nn
-// weight payload (no metadata block) rather than misparse it.
+// architecture arguments supplied at load time.
 func TestCheckpointRoundTripBothProblems(t *testing.T) {
 	for _, name := range Problems() {
 		prob, err := ProblemByName(name)
@@ -68,13 +67,44 @@ func TestCheckpointRoundTripBothProblems(t *testing.T) {
 				t.Fatalf("%s: loaded surrogate predicts differently at %d: %v vs %v", name, i, a[i], b[i])
 			}
 		}
+	}
+}
 
-		var raw bytes.Buffer
-		if err := s.net.SaveWeights(&raw); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadSurrogate(&raw); err == nil {
-			t.Fatalf("%s: LoadSurrogate accepted a raw weights payload", name)
+// TestLegacyWeightsCompat: a raw nn payload (no metadata block) is rejected
+// by LoadSurrogate rather than misparsed, and still reaches a servable
+// surrogate bit-identically through nn.LoadWeights + SurrogateFromNetwork
+// when the caller supplies the architecture.
+func TestLegacyWeightsCompat(t *testing.T) {
+	s := freshSurrogate(Heat())
+	var raw bytes.Buffer
+	if err := s.net.SaveWeights(&raw); err != nil {
+		t.Fatal(err)
+	}
+	payload := raw.Bytes()
+
+	if _, err := LoadSurrogate(bytes.NewReader(payload)); err == nil {
+		t.Fatal("LoadSurrogate accepted a raw weights payload")
+	}
+
+	m := s.Meta()
+	cfg := DefaultConfig()
+	cfg.Problem = Heat()
+	cfg.GridN, cfg.StepsPerSim, cfg.Dt, cfg.Hidden, cfg.Seed = m.GridN, m.StepsPerSim, m.Dt, m.Hidden, m.Seed
+	norm := cfg.Problem.Normalizer(cfg)
+	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed+1)
+	if err := net.LoadWeights(bytes.NewReader(payload)); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := SurrogateFromNetwork(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := midPoint(Heat())
+	a := s.Predict(p, 0.03)
+	b := loaded.Predict(p, 0.03)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("raw-weights surrogate predicts differently at %d", i)
 		}
 	}
 }
